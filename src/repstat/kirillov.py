@@ -9,8 +9,15 @@ that correspondence exhaustively, and also checks that the cruder hope
 "d^2 multiset == conjugacy class size multiset" fails already for the
 Heisenberg group.
 
-Everything is brute force by design: the groups are small enough (at most
-7^6 elements) that full enumeration is the most convincing oracle.
+Both tables are exhaustive closures of a linear action on F_p^dim, run by
+one engine over all p^dim coordinate vectors.  Coadjoint orbits are the
+orbits of the transposed adjoint action on functionals.  Conjugacy classes
+need no exp/log step: for g in the group and X strictly upper triangular,
+g(I + X)g^-1 = I + gXg^-1, so the classes are the orbits of X -> gXg^-1
+on the strictly-upper coordinates.  Each generator I + E_(i,j) moves only
+one or two coordinates, so the engine applies it as digit updates to an
+integer state code.  The dense matrix searches it replaces are kept in
+tests/test_kirillov.py as the oracles that both tables are checked against.
 """
 
 from __future__ import annotations
@@ -20,6 +27,11 @@ from functools import lru_cache
 from math import isqrt
 
 from .qseries import _is_prime
+from .symstats import CapExceededError, IntegrityError
+
+# Largest p^dim the orbit engine will sweep: ut4 up to p = 11, heis3 up
+# to p = 113.  Its visited array takes one byte per state.
+MAX_STATES = 2_000_000
 
 
 class UnsupportedCharacteristicError(ValueError):
@@ -87,12 +99,13 @@ def _build_strictly_upper(name: str, m: int) -> NilAlgebra:
                     for k, v in bracket_vec(basis[x], bracket_vec(basis[y], basis[z])).items():
                         acc[k] = acc.get(k, 0) + v
                 if any(acc.values()):
-                    raise AssertionError(f"Jacobi identity fails for {name}")
+                    raise IntegrityError(f"Jacobi identity fails for {name}")
 
     # Lower central series by index spans (each basis bracket lands on a
     # single basis vector here, so spans are plain index sets).
-    for _, vec in brackets:
-        assert len(vec) == 1
+    for pair, vec in brackets:
+        if len(vec) != 1:
+            raise IntegrityError(f"{name}: bracket of basis pair {pair} is not a single basis vector")
     layer = set(range(dim))
     series = [layer]
     while layer:
@@ -106,7 +119,7 @@ def _build_strictly_upper(name: str, m: int) -> NilAlgebra:
                             nxt.update(k for k, _ in vec)
         series.append(nxt)
         if nxt == layer:
-            raise AssertionError(f"{name} is not nilpotent")
+            raise IntegrityError(f"{name} is not nilpotent")
         layer = nxt
     nilpotency_class = len(series) - 1
     derived_dim = len(series[1])
@@ -161,15 +174,10 @@ def _mat_add(a, b, scale: int, p: int):
     )
 
 
-def _coords_to_matrix(coords, alg: NilAlgebra, p: int):
-    mat = [[1 if i == j else 0 for j in range(alg.matrix_size)] for i in range(alg.matrix_size)]
-    for k, (i, j) in enumerate(alg.positions):
-        mat[i][j] = coords[k] % p
-    return tuple(tuple(row) for row in mat)
-
-
-def _nilpotent_from_coords(coords, alg: NilAlgebra, p: int):
-    mat = [[0] * alg.matrix_size for _ in range(alg.matrix_size)]
+def _coords_to_matrix(coords, alg: NilAlgebra, p: int, unipotent: bool = False):
+    """The strictly upper matrix X with these coordinates, or I + X if unipotent."""
+    diag = 1 if unipotent else 0
+    mat = [[diag if i == j else 0 for j in range(alg.matrix_size)] for i in range(alg.matrix_size)]
     for k, (i, j) in enumerate(alg.positions):
         mat[i][j] = coords[k] % p
     return tuple(tuple(row) for row in mat)
@@ -186,7 +194,7 @@ def exp_element(coords, alg: NilAlgebra, p: int):
     nilpotent of degree at most the matrix size.
     """
     check_prime(alg, p)
-    x = _nilpotent_from_coords(coords, alg, p)
+    x = _coords_to_matrix(coords, alg, p)
     result = _identity(alg.matrix_size)
     power = _identity(alg.matrix_size)
     kfact = 1
@@ -213,126 +221,118 @@ def log_element(mat, alg: NilAlgebra, p: int) -> tuple[int, ...]:
     return _matrix_to_coords(acc, alg)
 
 
-def _unitriangular_inverse(g, p: int):
-    """Inverse via the terminating Neumann series of g = I + Y."""
-    m = len(g)
-    ident = _identity(m)
-    y = tuple(
-        tuple((g[i][j] - ident[i][j]) % p for j in range(m)) for i in range(m)
-    )
-    inv = ident
-    power = ident
-    for k in range(1, m):
-        power = _mat_mul(power, y, p)
-        inv = _mat_add(inv, power, (-1) ** k, p)
-    return inv
-
-
 def _generators(alg: NilAlgebra, p: int):
-    """Elementary generators I + E_(i,j); they generate the whole group."""
+    """Elementary generators I + E_(i,j), which generate the whole group.
+
+    Each comes paired with its inverse I - E_(i,j), as E_(i,j)^2 = 0.
+    """
     gens = []
     for k in range(alg.dim):
         coords = [0] * alg.dim
         coords[k] = 1
-        g = _coords_to_matrix(coords, alg, p)
-        gens.append((g, _unitriangular_inverse(g, p)))
+        g = _coords_to_matrix(coords, alg, p, unipotent=True)
+        coords[k] = -1
+        gens.append((g, _coords_to_matrix(coords, alg, p, unipotent=True)))
     return gens
 
 
-def _encode(coords, p: int) -> int:
-    code = 0
-    for v in reversed(coords):
-        code = code * p + v
-    return code
+def _conjugation_images(alg: NilAlgebra, p: int, inverse: bool):
+    """Per generator g, the coordinates of g B_k g^-1 for each basis matrix B_k.
+
+    With inverse=True the conjugation is g^-1 B_k g instead.
+    """
+    dim = alg.dim
+    basis = [_coords_to_matrix([int(j == k) for j in range(dim)], alg, p) for k in range(dim)]
+    images = []
+    for g, ginv in _generators(alg, p):
+        left, right = (ginv, g) if inverse else (g, ginv)
+        images.append([_matrix_to_coords(_mat_mul(_mat_mul(left, b, p), right, p), alg) for b in basis])
+    return images
 
 
-def _decode(code: int, p: int, dim: int) -> tuple[int, ...]:
-    out = []
-    for _ in range(dim):
-        code, v = divmod(code, p)
-        out.append(v)
-    return tuple(out)
+def _linear_orbits(maps, p: int, dim: int) -> tuple[int, ...]:
+    """Sorted orbit sizes of the group generated by linear maps of F_p^dim.
+
+    Each map is a dim x dim matrix M acting by lam -> M lam.  A vector is
+    kept as its integer code sum_j lam_j p^j.  Only the nonzero entries of
+    M - I are stored, so applying a map to a decoded vector touches just
+    the coordinates it changes, adding (new - old) * p^j to the code.
+    Orbits are closed depth-first under the maps, and the sizes must
+    partition p^dim.
+    """
+    total = p**dim
+    if total > MAX_STATES:
+        raise CapExceededError(
+            total, MAX_STATES, f"{p}^{dim} = {total} states exceed the orbit engine's cap {MAX_STATES}"
+        )
+    weights = [p**j for j in range(dim)]
+    moves_per_map = []
+    for m in maps:
+        moves = []
+        for j, row in enumerate(m):
+            deltas = [(v - (j == k)) % p for k, v in enumerate(row)]
+            terms = tuple((k, c) for k, c in enumerate(deltas) if c)
+            if terms:
+                moves.append((j, weights[j], terms))
+        if moves:
+            moves_per_map.append(moves)
+    visited = bytearray(total)
+    sizes = []
+    for start in range(total):
+        if visited[start]:
+            continue
+        visited[start] = 1
+        stack = [start]
+        size = 1
+        while stack:
+            code = stack.pop()
+            lam = []
+            rest = code
+            for _ in range(dim):
+                rest, v = divmod(rest, p)
+                lam.append(v)
+            for moves in moves_per_map:
+                image = code
+                for j, weight, terms in moves:
+                    old = lam[j]
+                    new = old
+                    for k, c in terms:
+                        new += c * lam[k]
+                    image += (new % p - old) * weight
+                if not visited[image]:
+                    visited[image] = 1
+                    size += 1
+                    stack.append(image)
+        sizes.append(size)
+    if sum(sizes) != total:
+        raise IntegrityError(f"orbit sizes sum to {sum(sizes)}, not {p}^{dim}")
+    return tuple(sorted(sizes))
 
 
 @lru_cache(maxsize=None)
 def coadjoint_orbits(alg: NilAlgebra, p: int) -> tuple[int, ...]:
     """Orbit sizes of the coadjoint action on all p^dim functionals.
 
-    A functional is a coordinate vector in the dual basis; the action of g
-    sends lam to lam(g^-1 . g), computed through the precomputed matrix of
-    Ad(g^-1) per generator.  Orbits are closed by breadth-first expansion,
-    and the sizes partition p^dim.
+    A functional is a coordinate vector in the dual basis; g sends lam to
+    lam(g^-1 . g), so lam'_j = sum_k rows[j][k] lam_k where rows[j] holds
+    the coordinates of g^-1 B_j g.  The sizes partition p^dim.
     """
     check_prime(alg, p)
-    dim = alg.dim
-    rng = range(dim)
-    maps = []
-    for g, ginv in _generators(alg, p):
-        # rows[j][k] = coefficient of basis k in g^-1 B_j g, so that the
-        # transformed functional is lam'_j = sum_k rows[j][k] lam_k.
-        rows = []
-        for j in rng:
-            coords = [0] * dim
-            coords[j] = 1
-            image = _mat_mul(_mat_mul(ginv, _nilpotent_from_coords(coords, alg, p), p), g, p)
-            rows.append(_matrix_to_coords(image, alg))
-        maps.append(rows)
-    total = p**dim
-    visited = bytearray(total)
-    sizes = []
-    for start in range(total):
-        if visited[start]:
-            continue
-        visited[start] = 1
-        stack = [_decode(start, p, dim)]
-        size = 1
-        while stack:
-            lam = stack.pop()
-            for rows in maps:
-                mu = tuple(sum(rows[j][k] * lam[k] for k in rng) % p for j in rng)
-                code = _encode(mu, p)
-                if not visited[code]:
-                    visited[code] = 1
-                    size += 1
-                    stack.append(mu)
-        sizes.append(size)
-    if sum(sizes) != total:
-        raise AssertionError("orbits do not partition the dual space")
-    return tuple(sorted(sizes))
+    return _linear_orbits(_conjugation_images(alg, p, inverse=True), p, alg.dim)
 
 
 @lru_cache(maxsize=None)
 def conjugacy_classes(alg: NilAlgebra, p: int) -> tuple[int, ...]:
-    """Conjugacy class sizes of the unitriangular group, by brute force.
+    """Conjugacy class sizes of the unitriangular group.
 
-    Elements are enumerated by their strictly-upper entries; classes are
-    closed under conjugation by the elementary generators.
+    The element I + X is enumerated by the strictly-upper coordinates of X,
+    and g(I + X)g^-1 = I + gXg^-1, so the classes are the orbits of the
+    conjugation action on those coordinates: column k of its matrix holds
+    the coordinates of g B_k g^-1.  The sizes partition p^dim.
     """
     check_prime(alg, p)
-    dim = alg.dim
-    gens = _generators(alg, p)
-    total = p**dim
-    visited = bytearray(total)
-    sizes = []
-    for start in range(total):
-        if visited[start]:
-            continue
-        visited[start] = 1
-        stack = [_coords_to_matrix(_decode(start, p, dim), alg, p)]
-        size = 1
-        while stack:
-            x = stack.pop()
-            for g, ginv in gens:
-                y = _mat_mul(_mat_mul(g, x, p), ginv, p)
-                code = _encode(_matrix_to_coords(y, alg), p)
-                if not visited[code]:
-                    visited[code] = 1
-                    size += 1
-                    stack.append(y)
-        sizes.append(size)
-    if sum(sizes) != total:
-        raise AssertionError("classes do not partition the group")
-    return tuple(sorted(sizes))
+    maps = [tuple(zip(*images)) for images in _conjugation_images(alg, p, inverse=False)]
+    return _linear_orbits(maps, p, alg.dim)
 
 
 @dataclass(frozen=True)
@@ -355,9 +355,10 @@ def _even_p_power_root(size: int, p: int) -> int:
         s //= p
         e += 1
     if s != 1 or e % 2 != 0:
-        raise AssertionError(f"orbit size {size} is not an even power of {p}")
+        raise IntegrityError(f"orbit size {size} is not an even power of {p}")
     root = isqrt(size)
-    assert root * root == size
+    if root * root != size:
+        raise IntegrityError(f"orbit size {size} has no integer square root")
     return root
 
 

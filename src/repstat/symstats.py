@@ -33,8 +33,8 @@ class IntegrityError(RuntimeError):
 class CapExceededError(RuntimeError):
     """A full-enumeration request exceeded the configured size cap."""
 
-    def __init__(self, n: int, cap: int):
-        super().__init__(f"n={n} exceeds the sweep cap {cap}; raise it explicitly to proceed")
+    def __init__(self, n: int, cap: int, message: str | None = None):
+        super().__init__(message or f"n={n} exceeds the sweep cap {cap}; raise it explicitly to proceed")
         self.n = n
         self.cap = cap
 

@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import time
 
 import pytest
 
@@ -102,6 +103,13 @@ class TestExitCodes:
     def test_kirillov_bad_characteristic(self, capsys):
         code, _, err = run_cli(capsys, "kirillov", "--alg", "heis3", "--p", "2")
         assert code == 2 and "p > 2" in err
+
+    @pytest.mark.parametrize("alg", ["ut4", "heis3"])
+    def test_kirillov_state_cap_is_exit_3(self, capsys, alg):
+        start = time.monotonic()
+        code, out, err = run_cli(capsys, "kirillov", "--alg", alg, "--p", "251")
+        assert code == 3 and out == "" and "states" in err
+        assert time.monotonic() - start < 5.0
 
     def test_bad_parameter(self, capsys):
         code, _, err = run_cli(capsys, "sym", "intervals", "--n", "5", "--alpha", "0.9", "--beta", "0.1")

@@ -1,20 +1,112 @@
-"""Orbit method brute force on the Heisenberg and 4x4 unitriangular groups."""
+"""Orbit method on the Heisenberg and 4x4 unitriangular groups.
 
+The library closes orbits of sparse linear maps on integer state codes.
+The oracles here do it the slow, obvious way instead: dense matrices,
+conjugation by the elementary generators, and tuple states.
+"""
+
+import os
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
+import repstat
 from repstat.kirillov import (
     ALGEBRAS,
     HEIS3,
+    MAX_STATES,
     UT4,
     UnsupportedCharacteristicError,
+    _even_p_power_root,
     coadjoint_orbits,
     conjugacy_classes,
     exp_element,
     kirillov_report,
     log_element,
 )
+from repstat.symstats import CapExceededError, IntegrityError
+
+
+def _mat_mul(a, b, p):
+    rng = range(len(a))
+    return tuple(tuple(sum(a[i][k] * b[k][j] for k in rng) % p for j in rng) for i in rng)
+
+
+def _matrix(alg, coords, diag, p):
+    m = alg.matrix_size
+    mat = [[diag if i == j else 0 for j in range(m)] for i in range(m)]
+    for (i, j), v in zip(alg.positions, coords):
+        mat[i][j] = v % p
+    return tuple(tuple(row) for row in mat)
+
+
+def _coords(alg, mat):
+    return tuple(mat[i][j] for i, j in alg.positions)
+
+
+def _all_states(dim, p):
+    for code in range(p**dim):
+        coords = []
+        for _ in range(dim):
+            code, v = divmod(code, p)
+            coords.append(v)
+        yield tuple(coords)
+
+
+def _elementary_pairs(alg, p):
+    """(I + E_ij, I - E_ij) for every strictly-upper position (i, j)."""
+    pairs = []
+    for k in range(alg.dim):
+        unit = [0] * alg.dim
+        unit[k] = 1
+        minus = [0] * alg.dim
+        minus[k] = -1
+        pairs.append((_matrix(alg, unit, 1, p), _matrix(alg, minus, 1, p)))
+    return pairs
+
+
+def _closure_sizes(states, step):
+    """Sorted sizes of the classes of the equivalence generated by step."""
+    seen = set()
+    sizes = []
+    for start in states:
+        if start in seen:
+            continue
+        seen.add(start)
+        stack = [start]
+        size = 1
+        while stack:
+            for image in step(stack.pop()):
+                if image not in seen:
+                    seen.add(image)
+                    size += 1
+                    stack.append(image)
+        sizes.append(size)
+    return tuple(sorted(sizes))
+
+
+def oracle_conjugacy_classes(alg, p):
+    """Class sizes by conjugating unitriangular matrices g x g^-1."""
+    pairs = _elementary_pairs(alg, p)
+    group = (_matrix(alg, coords, 1, p) for coords in _all_states(alg.dim, p))
+    return _closure_sizes(group, lambda x: [_mat_mul(_mat_mul(g, x, p), ginv, p) for g, ginv in pairs])
+
+
+def oracle_coadjoint_orbits(alg, p):
+    """Orbit sizes of lam -> lam(g^-1 . g) through dense rows of Ad(g^-1)."""
+    rng = range(alg.dim)
+    maps = []
+    for g, ginv in _elementary_pairs(alg, p):
+        basis = (_matrix(alg, [int(j == k) for j in rng], 0, p) for k in rng)
+        maps.append([_coords(alg, _mat_mul(_mat_mul(ginv, b, p), g, p)) for b in basis])
+
+    def step(lam):
+        return [tuple(sum(rows[j][k] * lam[k] for k in rng) % p for j in rng) for rows in maps]
+
+    return _closure_sizes(_all_states(alg.dim, p), step)
 
 
 class TestAlgebras:
@@ -96,6 +188,67 @@ class TestClasses:
     def test_center_is_fixed(self):
         sizes = conjugacy_classes(HEIS3, 3)
         assert sizes.count(1) == 3  # identity plus the order-3 center
+
+
+ORACLE_CASES = [(HEIS3, 3), (HEIS3, 5), (HEIS3, 7), (UT4, 5)]
+
+
+class TestAgainstOracle:
+    @pytest.mark.parametrize("alg, p", ORACLE_CASES, ids=lambda v: getattr(v, "name", v))
+    def test_conjugacy_classes(self, alg, p):
+        assert conjugacy_classes(alg, p) == oracle_conjugacy_classes(alg, p)
+
+    @pytest.mark.parametrize("alg, p", ORACLE_CASES, ids=lambda v: getattr(v, "name", v))
+    def test_coadjoint_orbits(self, alg, p):
+        assert coadjoint_orbits(alg, p) == oracle_coadjoint_orbits(alg, p)
+
+    def test_ut4_p5_classes_by_hand(self):
+        # For q = 5: q central classes of size 1, q^2 - 1 of size q,
+        # q(q - 1)(q + 2) of size q^2 and (q - 1)^2 (q + 1) of size q^3.
+        # The counts add up to 2q^3 + q^2 - 2q = 265, the sizes to q^6.
+        expected = {1: 5, 5: 24, 25: 140, 125: 96}
+        assert sum(expected.values()) == 265
+        assert sum(size * count for size, count in expected.items()) == 5**6
+        assert Counter(conjugacy_classes(UT4, 5)) == expected
+
+    def test_ut4_p5_orbits_by_hand(self):
+        # q^3 fixed functionals, q^3 - q orbits of size q^2 and q^2 - q of
+        # size q^4: the degrees 1, q, q^2 of the irreducible characters.
+        assert Counter(coadjoint_orbits(UT4, 5)) == {1: 125, 25: 120, 625: 20}
+
+
+class TestGuards:
+    def test_state_cap_bounds(self):
+        assert 11**6 <= MAX_STATES < 13**6
+        assert 113**3 <= MAX_STATES < 127**3
+
+    @pytest.mark.parametrize("alg, p", [(UT4, 13), (UT4, 251), (HEIS3, 127), (HEIS3, 251)])
+    def test_state_cap_refuses(self, alg, p):
+        for engine in (coadjoint_orbits, conjugacy_classes):
+            with pytest.raises(CapExceededError, match="states"):
+                engine(alg, p)
+
+    def test_odd_p_power_is_integrity_error(self):
+        p = 5
+        with pytest.raises(IntegrityError):
+            _even_p_power_root(2 * p**2, p)
+        with pytest.raises(IntegrityError):
+            _even_p_power_root(p**3, p)
+        assert _even_p_power_root(p**4, p) == p**2
+
+    def test_integrity_check_survives_optimize_flag(self):
+        src = str(Path(repstat.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        code = (
+            "from repstat.kirillov import _even_p_power_root\n"
+            "from repstat.symstats import IntegrityError\n"
+            "try:\n"
+            "    _even_p_power_root(50, 5)\n"
+            "except IntegrityError:\n"
+            "    print('raised')\n"
+        )
+        out = subprocess.run([sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True)
+        assert out.stdout.strip() == "raised", out.stderr
 
 
 class TestReport:
