@@ -48,7 +48,6 @@ from .qseries import (
     Gl2Census,
     QPolynomial,
     TruncatedSeries,
-    UnsupportedFieldError,
     feit_fine,
     gamma_q,
     gauss_identity_check,
@@ -57,7 +56,6 @@ from .qseries import (
     gow_sum,
     log_constant_ratio,
     sl2_pgl2_leading_check,
-    symmetric_invertible_count,
 )
 from .kirillov import (
     ALGEBRAS,

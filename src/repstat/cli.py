@@ -19,6 +19,8 @@ from . import __version__
 from .kirillov import ALGEBRAS, kirillov_report
 from .partitions import partition_count
 from .qseries import (
+    MAX_CLASS_COUNT_N,
+    MAX_POLY_N,
     census_class_count_polynomial,
     feit_fine,
     gamma_q,
@@ -216,8 +218,15 @@ def _cmd_sym_plancherel(args) -> str:
     return _emit(args, ["index", "shape", "ln_pl"], rows, seed=args.seed)
 
 
+def _sized_range(nmax: int, cap: int) -> range:
+    """1..nmax, refusing an nmax above cap before any row is computed."""
+    if nmax > cap:
+        raise CapExceededError(nmax, cap, f"--nmax {nmax} exceeds the cap {cap}")
+    return range(1, nmax + 1)
+
+
 def _cmd_gl_gow(args) -> str:
-    rows = [_poly_row(n, gow_sum(n)) for n in range(1, args.nmax + 1)]
+    rows = [_poly_row(n, gow_sum(n)) for n in _sized_range(args.nmax, MAX_POLY_N)]
     return _emit(args, ["n", "polynomial", "coeffs"], rows)
 
 
@@ -227,7 +236,7 @@ def _cmd_gl_classes(args) -> str:
 
 
 def _cmd_gl_order(args) -> str:
-    rows = [_poly_row(n, gl_order(n)) for n in range(1, args.nmax + 1)]
+    rows = [_poly_row(n, gl_order(n)) for n in _sized_range(args.nmax, MAX_POLY_N)]
     return _emit(args, ["n", "polynomial", "coeffs"], rows)
 
 
@@ -242,7 +251,7 @@ def _cmd_gl_ratio(args) -> str:
             "ratio": log_constant_ratio(n, args.q),
             "inv_gamma_ref": inv_gamma,
         }
-        for n in range(1, args.nmax + 1)
+        for n in _sized_range(args.nmax, MAX_CLASS_COUNT_N)
     ]
     return _emit(args, ["n", "ratio", "inv_gamma_ref"], rows)
 

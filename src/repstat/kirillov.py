@@ -140,14 +140,14 @@ ALGEBRAS = {"heis3": HEIS3, "ut4": UT4}
 
 
 def check_prime(alg: NilAlgebra, p: int) -> None:
-    """Admissibility: prime p with p > nilpotency class (and p < 2^8).
+    """Admissibility: prime p with p > nilpotency class.
 
     The truncated exponential divides by k! for k up to the class, so
     those factorials must be invertible mod p.  The boundary cases p = 2
     (heis3) and p in {2, 3} (ut4) are exactly where exp/log break down.
     """
-    if not _is_prime(p) or p >= 256:
-        raise ValueError(f"p must be a prime below 256, got {p}")
+    if not _is_prime(p):
+        raise ValueError(f"p must be a prime, got {p}")
     if p <= alg.nilpotency_class:
         raise UnsupportedCharacteristicError(
             f"{alg.name} needs p > {alg.nilpotency_class} for the truncated exp/log "
@@ -250,6 +250,15 @@ def _conjugation_images(alg: NilAlgebra, p: int, inverse: bool):
     return images
 
 
+def _check_states(p: int, dim: int) -> None:
+    """Refuse p^dim above MAX_STATES, before the trial-division primality test."""
+    total = p**dim
+    if p > 1 and total > MAX_STATES:
+        raise CapExceededError(
+            total, MAX_STATES, f"{p}^{dim} = {total} states exceed the orbit engine's cap {MAX_STATES}"
+        )
+
+
 def _linear_orbits(maps, p: int, dim: int) -> tuple[int, ...]:
     """Sorted orbit sizes of the group generated by linear maps of F_p^dim.
 
@@ -261,10 +270,6 @@ def _linear_orbits(maps, p: int, dim: int) -> tuple[int, ...]:
     partition p^dim.
     """
     total = p**dim
-    if total > MAX_STATES:
-        raise CapExceededError(
-            total, MAX_STATES, f"{p}^{dim} = {total} states exceed the orbit engine's cap {MAX_STATES}"
-        )
     weights = [p**j for j in range(dim)]
     moves_per_map = []
     for m in maps:
@@ -317,6 +322,7 @@ def coadjoint_orbits(alg: NilAlgebra, p: int) -> tuple[int, ...]:
     lam(g^-1 . g), so lam'_j = sum_k rows[j][k] lam_k where rows[j] holds
     the coordinates of g^-1 B_j g.  The sizes partition p^dim.
     """
+    _check_states(p, alg.dim)
     check_prime(alg, p)
     return _linear_orbits(_conjugation_images(alg, p, inverse=True), p, alg.dim)
 
@@ -330,6 +336,7 @@ def conjugacy_classes(alg: NilAlgebra, p: int) -> tuple[int, ...]:
     conjugation action on those coordinates: column k of its matrix holds
     the coordinates of g B_k g^-1.  The sizes partition p^dim.
     """
+    _check_states(p, alg.dim)
     check_prime(alg, p)
     maps = [tuple(zip(*images)) for images in _conjugation_images(alg, p, inverse=False)]
     return _linear_orbits(maps, p, alg.dim)

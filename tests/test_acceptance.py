@@ -26,7 +26,6 @@ from repstat.qseries import (
     gauss_identity_check,
     gow_sum,
     log_constant_ratio,
-    symmetric_invertible_count,
 )
 from repstat.rsk import estimate_concentration, sample_plancherel
 from repstat.symstats import (
@@ -41,6 +40,8 @@ from repstat.symstats import (
     involution_count,
     plancherel_mass,
 )
+
+from gl_oracles import symmetric_invertible_count
 
 # Frozen first-run regressions (exact reruns of this implementation).
 FROZEN_ANGLE_BAND = 0.241673  # max |log_ratio - predicted| over 5 <= n <= 40

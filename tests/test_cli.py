@@ -9,6 +9,7 @@ import pytest
 
 from repstat.cli import main
 from repstat.partitions import partition_count
+from repstat.qseries import MAX_CLASS_COUNT_N, MAX_GAUSS_ORDER, MAX_POLY_N
 
 
 def run_cli(capsys, *argv):
@@ -110,6 +111,44 @@ class TestExitCodes:
         code, out, err = run_cli(capsys, "kirillov", "--alg", alg, "--p", "251")
         assert code == 3 and out == "" and "states" in err
         assert time.monotonic() - start < 5.0
+
+    @pytest.mark.parametrize("p", ["257", str(2**61 - 1)])
+    def test_kirillov_large_prime_is_exit_3(self, capsys, p):
+        # Both are prime; the state cap refuses them before any trial division.
+        start = time.monotonic()
+        code, out, err = run_cli(capsys, "kirillov", "--alg", "heis3", "--p", p)
+        assert code == 3 and out == "" and "states" in err
+        assert time.monotonic() - start < 5.0
+
+    @pytest.mark.parametrize(
+        "argv, cap",
+        [
+            (("gl", "classes", "--nmax"), MAX_CLASS_COUNT_N),
+            (("gl", "ratio", "--q", "2", "--nmax"), MAX_CLASS_COUNT_N),
+            (("gl", "gow", "--nmax"), MAX_POLY_N),
+            (("gl", "order", "--nmax"), MAX_POLY_N),
+            (("gl", "gauss", "--order"), MAX_GAUSS_ORDER),
+        ],
+    )
+    def test_gl_size_cap_is_exit_3(self, capsys, argv, cap):
+        start = time.monotonic()
+        code, out, err = run_cli(capsys, *argv, str(cap + 1))
+        assert code == 3 and out == "" and "exceeds the cap" in err
+        assert time.monotonic() - start < 1.0
+
+    @pytest.mark.parametrize(
+        "argv, rows",
+        [
+            (("gl", "classes", "--nmax", "60"), 61),
+            (("gl", "gow", "--nmax", "40"), 40),
+            (("gl", "order", "--nmax", "30"), 30),
+            (("gl", "gauss", "--order", "500"), 1),
+        ]
+        + [(("gl", "ratio", "--nmax", "40", "--q", q), 40) for q in ("2", "3", "4", "5", "7")],
+    )
+    def test_gl_benchmark_sizes_run(self, capsys, argv, rows):
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0 and len(parse_csv(out)[1]) == rows
 
     def test_bad_parameter(self, capsys):
         code, _, err = run_cli(capsys, "sym", "intervals", "--n", "5", "--alpha", "0.9", "--beta", "0.1")

@@ -1,15 +1,23 @@
 """Polynomial/series machinery and the GL_n(F_q) closed forms."""
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+import repstat
+from repstat import qseries
 from repstat.qseries import (
     P_ONE,
     P_Q,
     QPolynomial,
     TruncatedSeries,
-    UnsupportedFieldError,
+    _int_series_mul,
     census_class_count_polynomial,
     feit_fine,
     gamma_q,
@@ -20,8 +28,40 @@ from repstat.qseries import (
     log_constant_ratio,
     q_power,
     sl2_pgl2_leading_check,
-    symmetric_invertible_count,
 )
+from repstat.symstats import CapExceededError, IntegrityError
+
+from gl_oracles import UnsupportedFieldError, symmetric_invertible_count
+
+
+def dense_product(a, b):
+    """Schoolbook product of two coefficient lists, every pair of terms."""
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def euler_product_class_counts(nmax):
+    """C_0..C_nmax by expanding prod_r (1 - t^r) / (1 - q t^r) to order nmax."""
+    series = TruncatedSeries.one(nmax)
+    for r in range(1, nmax + 1):
+        series = series * TruncatedSeries.from_terms(nmax, {0: P_ONE, r: -P_ONE})
+        geometric = {r * k: q_power(k) for k in range(nmax // r + 1)}
+        series = series * TruncatedSeries.from_terms(nmax, geometric)
+    return series.coeffs
+
+
+@pytest.fixture
+def fresh_tables(monkeypatch):
+    """An empty class-count table for one test; the shared one is restored after."""
+    monkeypatch.setattr(qseries, "_class_counts", [P_ONE])
+
+
+coeff_lists = st.lists(st.integers(min_value=-(10**6), max_value=10**6), max_size=12)
 
 
 class TestQPolynomial:
@@ -36,6 +76,13 @@ class TestQPolynomial:
         assert (p - p).is_zero()
         assert (3 * P_Q).coeffs == (0, 3)
         assert P_Q.shift(2).coeffs == (0, 0, 0, 1)
+
+    @given(coeff_lists, coeff_lists)
+    def test_sparse_product_matches_dense(self, a, b):
+        # Sparse right operands (binomials, zero runs) are the fast path.
+        expected = QPolynomial(dense_product(a, b))
+        assert QPolynomial(a) * QPolynomial(b) == expected
+        assert QPolynomial(b) * QPolynomial(a) == expected
 
     def test_evaluate(self):
         p = QPolynomial([-1, 0, 1])  # q^2 - 1
@@ -89,6 +136,46 @@ class TestFeitFine:
         # The four GL_2 class families must add up to C_2(q) symbolically.
         assert census_class_count_polynomial() == feit_fine(2)[2]
 
+    def test_recurrence_matches_euler_product(self, fresh_tables):
+        assert feit_fine(40) == euler_product_class_counts(40)
+
+    def test_table_independent_of_call_order(self, fresh_tables):
+        big = feit_fine(40)
+        assert feit_fine(5) == big[:6]
+        qseries._class_counts[:] = [P_ONE]
+        assert feit_fine(5) == big[:6]
+        assert feit_fine(40) == big
+
+    @pytest.mark.parametrize(
+        "corruption, match",
+        [(P_ONE, "divisible"), (4 * q_power(3), "monic")],
+    )
+    def test_corrupted_entry_is_integrity_error(self, fresh_tables, corruption, match):
+        feit_fine(3)
+        qseries._class_counts[3] = qseries._class_counts[3] + corruption
+        with pytest.raises(IntegrityError, match=match):
+            feit_fine(4)
+
+    def test_integrity_check_survives_optimize_flag(self):
+        src = str(Path(repstat.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        code = (
+            "from repstat import qseries\n"
+            "from repstat.symstats import IntegrityError\n"
+            "qseries.feit_fine(3)\n"
+            "qseries._class_counts[3] = qseries._class_counts[3] + qseries.P_ONE\n"
+            "try:\n"
+            "    qseries.feit_fine(4)\n"
+            "except IntegrityError:\n"
+            "    print('raised')\n"
+        )
+        out = subprocess.run([sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True)
+        assert out.stdout.strip() == "raised", out.stderr
+
+    def test_size_cap(self):
+        with pytest.raises(CapExceededError, match="exceeds the cap"):
+            feit_fine(qseries.MAX_CLASS_COUNT_N + 1)
+
 
 class TestGowSum:
     def test_closed_forms(self):
@@ -137,6 +224,14 @@ class TestGaussIdentity:
     def test_validation(self):
         with pytest.raises(ValueError):
             gauss_identity_check(0)
+        with pytest.raises(CapExceededError):
+            gauss_identity_check(qseries.MAX_GAUSS_ORDER + 1)
+
+    @given(st.integers(min_value=0, max_value=10), st.data())
+    def test_sparse_series_product_matches_dense(self, order, data):
+        terms = st.lists(st.integers(min_value=-50, max_value=50), min_size=order + 1, max_size=order + 1)
+        a, b = data.draw(terms), data.draw(terms)
+        assert _int_series_mul(a, b, order) == dense_product(a, b)[: order + 1]
 
 
 class TestGamma:
@@ -199,6 +294,14 @@ class TestLogConstantRatio:
         for n in range(15, 21):
             est = gamma_q(2, 30)
             assert abs(log_constant_ratio(n, 2) - inv_gamma) < est.tail_bound + Fraction(1, 100)
+
+    @pytest.mark.parametrize("q", [2, 3, 7, Fraction(3, 2)])
+    def test_direct_evaluation_matches_polynomials(self, q):
+        for n in range(1, 21):
+            b = gow_sum(n).evaluate(Fraction(q))
+            c = feit_fine(n)[n].evaluate(Fraction(q))
+            d = gl_order(n).evaluate(Fraction(q))
+            assert log_constant_ratio(n, q) == b * b / (c * d)
 
     def test_parity_monotone_approach(self):
         # The distance to 1/gamma(2) oscillates with the parity of n but
