@@ -26,7 +26,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import isqrt
 
-from .qseries import _is_prime
 from .symstats import CapExceededError, IntegrityError
 
 # Largest p^dim the orbit engine will sweep: ut4 up to p = 11, heis3 up
@@ -137,6 +136,17 @@ def _build_strictly_upper(name: str, m: int) -> NilAlgebra:
 HEIS3 = _build_strictly_upper("heis3", 3)
 UT4 = _build_strictly_upper("ut4", 4)
 ALGEBRAS = {"heis3": HEIS3, "ut4": UT4}
+
+
+def _is_prime(p: int) -> bool:
+    if p < 2:
+        return False
+    d = 2
+    while d * d <= p:
+        if p % d == 0:
+            return False
+        d += 1
+    return True
 
 
 def check_prime(alg: NilAlgebra, p: int) -> None:

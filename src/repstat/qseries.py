@@ -21,10 +21,14 @@ from .symstats import CapExceededError, IntegrityError
 
 # Largest sizes the GL tables accept.  On a shared 2-CPU Xeon with Python
 # 3.11, feit_fine(200) takes about 0.8 s, gl_order over n = 1..60 about
-# 0.5 s, and gauss_identity_check(2000) about 1.8 s.
+# 0.5 s, and gauss_identity_check(2000) about 0.6 s.  `gl ratio` also
+# bounds nmax^2 * bits(q), the bit size of q^(nmax^2) that its exact
+# ratios grow with: --nmax 200 passes up to q = 7 (about 1.4 s) and
+# refuses q = 97 (about 5.7 s).
 MAX_CLASS_COUNT_N = 200
 MAX_POLY_N = 60
 MAX_GAUSS_ORDER = 2000
+MAX_RATIO_BITS = 2**17
 
 
 class QPolynomial:
@@ -278,17 +282,6 @@ def gl_order(n: int) -> QPolynomial:
     return _factor_polynomial(*_gl_order_factors(n))
 
 
-def _is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
-            return False
-        d += 1
-    return True
-
-
 def _int_series_mul(a: list[int], b: list[int], order: int) -> list[int]:
     out = [0] * (order + 1)
     for j, y in enumerate(b[: order + 1]):
@@ -321,8 +314,10 @@ def gauss_identity_check(order: int) -> bool:
             numerator[0] = 1
             numerator[2 * i] = -1
             rhs = _int_series_mul(rhs, numerator, order)
-        geometric = [1 if k % (2 * i - 1) == 0 else 0 for k in range(order + 1)]
-        rhs = _int_series_mul(rhs, geometric, order)
+        # Dividing by 1 - t^m is the running sum out[k] = in[k] + out[k-m].
+        m = 2 * i - 1
+        for k in range(m, order + 1):
+            rhs[k] += rhs[k - m]
         i += 1
     return lhs == rhs
 

@@ -21,10 +21,17 @@ from math import factorial
 from typing import Iterator
 
 from .partitions import Partition
-from .symstats import dimension, ln_big
+from .symstats import CapExceededError, dimension, ln_big
 
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
+
+# Largest n, and largest n * count, that sample_plancherel accepts.  On a
+# shared 2-CPU Xeon with Python 3.11 one sample takes about 7 ms at
+# n = 1000 and 0.19 s at n = 10000, so a full-size request runs for
+# roughly 7 to 20 s.
+MAX_PLANCHEREL_N = 10_000
+MAX_PLANCHEREL_CELLS = 1_000_000
 
 
 def _mix64(z: int) -> int:
@@ -102,12 +109,16 @@ def sample_plancherel(
     """Draw `count` Plancherel samples of partitions of n.
 
     Yields (shape, ln Pl(shape)) with ln Pl = 2 ln dim - ln n!.  The stream
-    is a pure function of (n, seed, count prefix).
+    is a pure function of (n, seed, count prefix).  Raises CapExceededError
+    for n above MAX_PLANCHEREL_N or n * count above MAX_PLANCHEREL_CELLS.
     """
     if n < 1:
         raise ValueError(f"n must be at least 1, got {n}")
     if count < 1:
         raise ValueError(f"count must be at least 1, got {count}")
+    for what, value, cap in (("n", n, MAX_PLANCHEREL_N), ("n*count", n * count, MAX_PLANCHEREL_CELLS)):
+        if value > cap:
+            raise CapExceededError(value, cap, f"{what}={value} exceeds the cap {cap}")
     log_fact = ln_big(factorial(n))
     for k in range(count):
         shape = rsk_shape(random_permutation(n, substream(seed, k)))

@@ -1,6 +1,6 @@
 """Brute-force oracles for the GL_n(F_q) closed forms in repstat.qseries."""
 
-from repstat.qseries import _is_prime
+from repstat.kirillov import _is_prime
 
 
 class UnsupportedFieldError(ValueError):

@@ -1,15 +1,19 @@
 """CLI surface: formats, determinism, exit codes."""
 
 import csv
+import hashlib
 import io
 import json
 import time
 
 import pytest
 
+from repstat import cli
 from repstat.cli import main
 from repstat.partitions import partition_count
-from repstat.qseries import MAX_CLASS_COUNT_N, MAX_GAUSS_ORDER, MAX_POLY_N
+from repstat.qseries import MAX_CLASS_COUNT_N, MAX_GAUSS_ORDER, MAX_POLY_N, MAX_RATIO_BITS
+from repstat.rsk import MAX_PLANCHEREL_CELLS, MAX_PLANCHEREL_N
+from repstat.symstats import DEFAULT_SWEEP_CAP
 
 
 def run_cli(capsys, *argv):
@@ -128,6 +132,8 @@ class TestExitCodes:
             (("gl", "gow", "--nmax"), MAX_POLY_N),
             (("gl", "order", "--nmax"), MAX_POLY_N),
             (("gl", "gauss", "--order"), MAX_GAUSS_ORDER),
+            # The largest q whose bit size keeps 200^2 * bits(q) within the cap.
+            (("gl", "ratio", "--nmax", "200", "--q"), (1 << MAX_RATIO_BITS // 200**2) - 1),
         ],
     )
     def test_gl_size_cap_is_exit_3(self, capsys, argv, cap):
@@ -149,6 +155,16 @@ class TestExitCodes:
     def test_gl_benchmark_sizes_run(self, capsys, argv, rows):
         code, out, _ = run_cli(capsys, *argv)
         assert code == 0 and len(parse_csv(out)[1]) == rows
+
+    @pytest.mark.parametrize(
+        "n, count",
+        [(10**9, 1), (MAX_PLANCHEREL_N + 1, 1), (1000, MAX_PLANCHEREL_CELLS // 1000 + 1)],
+    )
+    def test_plancherel_size_cap_is_exit_3(self, capsys, n, count):
+        start = time.monotonic()
+        code, out, err = run_cli(capsys, "sym", "plancherel", "--n", str(n), "--count", str(count), "--seed", "1")
+        assert code == 3 and out == "" and "exceeds the cap" in err
+        assert time.monotonic() - start < 1.0
 
     def test_bad_parameter(self, capsys):
         code, _, err = run_cli(capsys, "sym", "intervals", "--n", "5", "--alpha", "0.9", "--beta", "0.1")
@@ -232,3 +248,47 @@ class TestTables:
         assert report["match_kirillov"] is True
         assert report["match_naive"] is False
         assert sorted(set(report["orbit_sizes"])) == ["1", "9"]
+
+
+# SHA-256 of stdout for one small invocation of every command, in CSV and
+# in JSON, as the per-command emitters produced them before the CLI became
+# one command table; any change to a table's bytes shows here.
+GOLDEN = [
+    ("sym sweep --n 6", "8792adc09117445941556f3707cfb7465e751f85df0f672182cf8b94fcb19bac", "b9370bc9e0cf012a399aa13684880f1d1bec44265394e8ce5bed388f03ea1008"),
+    ("sym hist --n 10 --what dim --bins 6", "a4484e2016d7bf93f17cc39a9036f39822414c931b75f2b70b9545241dfdb4ce", "08f30dae4bb6d6de24786beb9b62ee46d9e4c51c1673922c348194632f7746a4"),
+    ("sym angle --nmax 8", "0f2ade10833685e7e04e1ef84985d05dce53bcad79103c136c939d9ad228b9b5", "79bd3bb3e0fb16c579d2c7113e0d923c9d938d66bddeee886a2d31bc1ded6e13"),
+    ("sym intervals --n 7 --alpha 0.3 --beta 0.8", "5b8f5cc58dc0a186d662728f2115ea07a8aed3ac0e380198e2fc4bb538490470", "10425f24ce8b20855f2828b05ed0ec23e32782ec85078d81e5ec6a9a7bda3acb"),
+    ("sym layers --n 6", "f6e3e95222d8f99ca6e5dcfb8f50c53421ba3d7812bce5d79e72a7f2cf65322e", "f7d1e17a8fc5bb1d80574234676e0566b22226baadfa94593ed075a97f98d134"),
+    ("sym maxdim --nmax 6", "6dabdc2ae2a79264ad6af60f682196102416c94f4202a0b137e93837bf3dc6e2", "e373133d297dc4bc78c00ed25a559791e551414d6c56ed37c6c311dbb64143a9"),
+    ("sym plancherel --n 8 --count 5 --seed 3", "598674890d108306a2e50a3e022cb2e2cd6cb10e917874d0c31dc3289f42c138", "4baaf1760aa62cb0ddda2c4585891294c9f65bcdcf4a8713a797b1287776efd1"),
+    ("gl gow --nmax 4", "375b0b2af57793e61bcb691b4a5ab8a4085af66aa7b726137f0d27dd76381090", "5a6a518803407a8a9d3cbc909b4dbef7227357eb7dfc3a01140d9dfe2e26de09"),
+    ("gl classes --nmax 5", "a3ec8f778d1652894b0508262cec887f9ea51830f538f93263c35567f717b5db", "0d244b5772182df8972e25eee065e170a4b029d7a5c9dca6b9f198bba523fa26"),
+    ("gl order --nmax 3", "52bd4040dcb857898b5096a03a62ccf3e383bd7a4c7e3624047f50394d2ffab3", "07b1dc71299d490304b67ae74660368d4bb4e4a87f8fb1b7db77e2748340903e"),
+    ("gl ratio --nmax 6 --q 2", "3df0230d2beab5ef0e17fda5accf21921159a57a45aedce725382c0b6cc21a43", "5b19ab630ef6f34d6c4d81ad729c99b3fb893b336a49e6cad6b0408a74d74c57"),
+    ("gl census --q 3", "ef9448ab0ed861d174b7b717a28b34b8bcd689f6f44e7de044e7e96143bdc46c", "6cab82ef7e54026acfa50f7004cc29df1a8d52ff03d7f65ef30f89fe03831615"),
+    ("gl gauss --order 25", "c0188b35f9eb4edfde918bfafd66e2d30dbc4b3d47c542ec744fb73f6934b0d3", "0b1969261fe16f3cfa1f5f364c2980864ceff55dce4ff8112ce8ae63263cf1fc"),
+    ("kirillov --alg heis3 --p 3", "bdc7e2ccfa845d6704bb8363d86ca7f9d396834c624ae5d951f9830f36019d09", "e9f888f85f8e03f577368b13b080d3fd789e814667f024e0fb5a074a61ef3996"),
+]
+
+
+class TestGolden:
+    @pytest.mark.parametrize("argv, csv_sha, json_sha", GOLDEN, ids=[g[0] for g in GOLDEN])
+    def test_stdout_bytes(self, capsys, argv, csv_sha, json_sha):
+        for extra, sha in (([], csv_sha), (["--format", "json"], json_sha)):
+            code, out, err = run_cli(capsys, *argv.split(), *extra)
+            assert (code, err) == (0, "")
+            assert hashlib.sha256(out.encode("utf-8")).hexdigest() == sha
+
+    def test_row_builders_call_library_by_global_name(self, capsys, monkeypatch):
+        # A profiler that rebinds cli.sweep must see every call the table makes.
+        calls = []
+        real = cli.sweep
+
+        def patched(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(cli, "sweep", patched)
+        code, out, _ = run_cli(capsys, "sym", "sweep", "--n", "4")
+        assert code == 0 and calls == [(4, DEFAULT_SWEEP_CAP)]
+        assert len(parse_csv(out)[1]) == partition_count(4)

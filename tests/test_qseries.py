@@ -220,6 +220,7 @@ class TestGaussIdentity:
         assert gauss_identity_check(1)
         assert gauss_identity_check(10)
         assert gauss_identity_check(25)
+        assert gauss_identity_check(qseries.MAX_GAUSS_ORDER)
 
     def test_validation(self):
         with pytest.raises(ValueError):
