@@ -9,6 +9,7 @@ driven by the enumeration order fixed here (reverse-lexicographic, from
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import lt
 from typing import Iterator
 
 
@@ -22,12 +23,11 @@ class Partition:
     __slots__ = ("parts", "n")
 
     def __init__(self, parts=()):
-        parts = tuple(int(v) for v in parts)
+        parts = tuple(map(int, parts))
         if parts and parts[-1] < 1:
             raise ValueError(f"parts must be positive: {parts}")
-        for a, b in zip(parts, parts[1:]):
-            if a < b:
-                raise ValueError(f"parts must be weakly decreasing: {parts}")
+        if any(map(lt, parts, parts[1:])):
+            raise ValueError(f"parts must be weakly decreasing: {parts}")
         self.parts = parts
         self.n = sum(parts)
 
@@ -51,7 +51,7 @@ class Partition:
 
     def serialize(self) -> str:
         """Bracketed comma-separated parts, e.g. ``[5,2]``."""
-        return "[" + ",".join(str(v) for v in self.parts) + "]"
+        return "[" + ",".join(map(str, self.parts)) + "]"
 
 
 def parse_partition(text: str) -> Partition:
@@ -90,6 +90,45 @@ def from_frequency(form: FrequencyForm) -> Partition:
     return Partition(parts)
 
 
+def _partition_tuples(n: int) -> Iterator[tuple[int, ...]]:
+    """Every partition of n as a plain tuple, in reverse-lexicographic order.
+
+    Algorithm ZS1 of Zoghbi and Stojmenovic: ``x[:m]`` is the current
+    partition, ``x[h]`` its last part above 1 and every entry after
+    ``x[h]`` is 1, so each step rewrites only ``x[h]`` and what follows.
+    """
+    if n < 0:
+        raise ValueError(f"n must be nonnegative, got {n}")
+    if n == 0:
+        yield ()
+        return
+    x = [1] * n
+    x[0] = n
+    m, h = 1, 0
+    yield (n,)
+    while x[0] != 1:
+        if x[h] == 2:  # (..., 2, 1^t) -> (..., 1, 1, 1^t)
+            m += 1
+            x[h] = 1
+            h -= 1
+        else:  # decrement x[h] and refill the tail with parts of that size
+            r = x[h] - 1
+            t = m - h
+            x[h] = r
+            while t >= r:
+                h += 1
+                x[h] = r
+                t -= r
+            if t == 0:
+                m = h + 1
+            else:
+                m = h + 2
+                if t > 1:
+                    h += 1
+                    x[h] = t
+        yield tuple(x[:m])
+
+
 def enumerate_partitions(n: int) -> Iterator[Partition]:
     """Yield every partition of n in reverse-lexicographic order.
 
@@ -97,26 +136,7 @@ def enumerate_partitions(n: int) -> Iterator[Partition]:
     partition.  The stream has length partition_count(n), which the test
     suite checks against the independent pentagonal recurrence.
     """
-    if n < 0:
-        raise ValueError(f"n must be nonnegative, got {n}")
-    if n == 0:
-        yield Partition()
-        return
-    parts = [n]
-    while True:
-        yield Partition(parts)
-        # Find the rightmost part > 1; everything after it is a tail of 1s.
-        i = len(parts) - 1
-        while i >= 0 and parts[i] == 1:
-            i -= 1
-        if i < 0:
-            return
-        remainder = len(parts) - i  # the borrowed unit plus the tail of 1s
-        parts = parts[:i] + [parts[i] - 1]
-        while remainder > 0:
-            chunk = min(parts[-1], remainder)
-            parts.append(chunk)
-            remainder -= chunk
+    yield from map(Partition, _partition_tuples(n))
 
 
 _pcount = [1]  # dense table of p(0), p(1), ...

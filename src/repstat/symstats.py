@@ -9,17 +9,25 @@ Exact identities maintained throughout (and re-verified on every sweep):
     sum of dim           = number of involutions in S_n
     sum of dim^2         = n!
     sum of class sizes   = n!    (the class equation)
+
+The sweep works on plain part tuples and builds one Partition per record.
+Hook products are falling factorials over column segments read off the
+tuple, class-size denominators come from run lengths and a factorial
+table that grows on demand, and dimension and class_size call the same
+two helpers.  Only the last swept level is cached; max_dimension,
+vk_ratio, fraction_near_max, layer_sums and interval_counts reuse it.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import factorial, perm
 
-from .partitions import Partition, conjugate, enumerate_partitions, hook_lengths, partition_count, to_frequency
+from .partitions import Partition, _partition_tuples, partition_count
 
 DEFAULT_SWEEP_CAP = 50
 
@@ -61,6 +69,49 @@ def ln_fraction(r: Fraction) -> float:
     return ln_big(r.numerator) - ln_big(r.denominator)
 
 
+def _hook_product(parts: tuple[int, ...]) -> int:
+    """Product of the hook lengths of the diagram with these parts.
+
+    Column lengths are read off the tuple: the columns j in [lam_{r+1}, lam_r)
+    all have length r + 1, so along row i their hooks lam_i - i + r - j are
+    consecutive integers, one falling factorial per row and column segment.
+    """
+    segments = []  # (r - lam_{r+1}, lam_r - lam_{r+1}, lam_r), left to right
+    below = 0
+    for r in range(len(parts) - 1, -1, -1):
+        if parts[r] != below:
+            segments.append((r - below, parts[r] - below, parts[r]))
+            below = parts[r]
+    prod = 1
+    for i, v in enumerate(parts):
+        for offset, width, right in segments:
+            if right > v:
+                break
+            prod *= perm(v - i + offset, width)
+    return prod
+
+
+_fact = [1]  # dense table of 0!, 1!, ..., grown on demand
+
+
+def _class_denominator(parts: tuple[int, ...]) -> int:
+    """prod_v v^a * a! over the runs of a parts equal to v: the centralizer order."""
+    while len(_fact) <= len(parts):
+        _fact.append(_fact[-1] * len(_fact))
+    denom = 1
+    prev = run = 0
+    for v in parts:
+        if v == prev:
+            run += 1
+        else:
+            if run:
+                denom *= prev**run * _fact[run]
+            prev, run = v, 1
+    if run:
+        denom *= prev**run * _fact[run]
+    return denom
+
+
 def dimension(lam: Partition) -> int:
     """Dimension of the irreducible representation of S_n labelled by lam.
 
@@ -68,11 +119,7 @@ def dimension(lam: Partition) -> int:
     The division is exact by theorem; a nonzero remainder is reported as
     an internal defect rather than silently truncated.
     """
-    prod = 1
-    for row in hook_lengths(lam):
-        for h in row:
-            prod *= h
-    d, rem = divmod(factorial(lam.n), prod)
+    d, rem = divmod(factorial(lam.n), _hook_product(lam.parts))
     if rem:
         raise IntegrityError(f"hook product does not divide n! for {lam}")
     return d
@@ -83,10 +130,7 @@ def class_size(lam: Partition) -> int:
 
     n! / prod_i (i^a_i * a_i!) where a_i is the multiplicity of part i.
     """
-    denom = 1
-    for value, mult in to_frequency(lam).freq:
-        denom *= value**mult * factorial(mult)
-    return factorial(lam.n) // denom
+    return factorial(lam.n) // _class_denominator(lam.parts)
 
 
 @lru_cache(maxsize=None)
@@ -119,20 +163,23 @@ class DimRecord:
     log_class: float  # ln(class size), nats
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1)
 def _sweep_records(n: int) -> tuple[DimRecord, ...]:
+    fact = factorial(n)
     records = []
     sum_dim = 0
     sum_dim_sq = 0
     sum_class = 0
-    for lam in enumerate_partitions(n):
-        d = dimension(lam)
-        c = class_size(lam)
-        records.append(DimRecord(lam, d, c, 2.0 * ln_big(d), ln_big(c)))
+    for parts in _partition_tuples(n):
+        d, rem = divmod(fact, _hook_product(parts))
+        if rem:
+            raise IntegrityError(f"hook product does not divide n! for {list(parts)}")
+        c = fact // _class_denominator(parts)
+        records.append(DimRecord(Partition(parts), d, c, 2.0 * ln_big(d), ln_big(c)))
         sum_dim += d
         sum_dim_sq += d * d
         sum_class += c
-    if sum_dim != involution_count(n) or sum_dim_sq != factorial(n) or sum_class != factorial(n):
+    if sum_dim != involution_count(n) or sum_dim_sq != fact or sum_class != fact:
         raise IntegrityError(f"moment identities failed at n={n}")
     return tuple(records)
 
@@ -287,12 +334,15 @@ def layer_sums(n: int, k: int, cap: int = DEFAULT_SWEEP_CAP) -> tuple[float, flo
     _check_cap(n, cap)
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= n, got k={k}")
+    records = _sweep_records(n)
+    # Largest parts fall from n to 1 in enumeration order, so layer k is
+    # one contiguous block; it is summed in that order.
+    key = lambda rec: -rec.lam.parts[0]
     a = 0.0
     b = 0.0
-    for rec in _sweep_records(n):
-        if rec.lam.parts[0] == k:
-            a += rec.log_dim_sq
-            b += rec.log_class
+    for i in range(bisect_left(records, -k, key=key), bisect_right(records, -k, key=key)):
+        a += records[i].log_dim_sq
+        b += records[i].log_class
     return a, b
 
 
@@ -311,7 +361,7 @@ def fraction_near_max(
     _check_cap(n, cap)
     records = _sweep_records(n)
     m, _ = max_dimension(n, cap)
-    near = sum(1 for rec in records if rec.dim >= frac * m)
+    near = sum(1 for rec in records if rec.dim * frac.denominator >= frac.numerator * m)
     c = Fraction(near, partition_count(n))
     bound_ok = 2.0 * ln_fraction(frac * c) <= -0.9 * angle_decay_constant() * math.sqrt(n)
     return c, bound_ok

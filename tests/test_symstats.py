@@ -1,17 +1,27 @@
 """Symmetric group statistics against independent brute-force oracles."""
 
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations
 from math import factorial
+from pathlib import Path
 
 import mpmath
 import pytest
 
-from repstat.partitions import Partition, conjugate, enumerate_partitions, partition_count
+import repstat
+from repstat import symstats
+from repstat.partitions import (
+    Partition, conjugate, enumerate_partitions, hook_lengths, partition_count, to_frequency,
+)
 from repstat.symstats import (
     CapExceededError,
+    IntegrityError,
+    _sweep_records,
     angle_decay_constant,
     angle_report,
     asymptotic_estimates,
@@ -167,6 +177,106 @@ class TestSweep:
         recs = list(sweep(20))
         assert len(recs) == 627
         assert sum(r.dim**2 for r in recs) == factorial(20)
+
+
+def _reverse_lex_oracle(n):
+    """The list-slicing reverse-lex loop that enumerate_partitions used to run."""
+    if n == 0:
+        yield Partition()
+        return
+    parts = [n]
+    while True:
+        yield Partition(parts)
+        i = len(parts) - 1
+        while i >= 0 and parts[i] == 1:
+            i -= 1
+        if i < 0:
+            return
+        remainder = len(parts) - i
+        parts = parts[:i] + [parts[i] - 1]
+        while remainder > 0:
+            chunk = min(parts[-1], remainder)
+            parts.append(chunk)
+            remainder -= chunk
+
+
+class TestSweepKernel:
+    """The tuple kernel of the sweep against the public nested-list path."""
+
+    def test_records_match_hook_lengths_and_to_frequency(self):
+        for n in range(1, 26):
+            fact = factorial(n)
+            for rec in sweep(n):
+                hooks = math.prod(h for row in hook_lengths(rec.lam) for h in row)
+                assert divmod(fact, hooks) == (rec.dim, 0)
+                denom = math.prod(v**a * factorial(a) for v, a in to_frequency(rec.lam).freq)
+                assert rec.class_size == fact // denom
+
+    def test_enumeration_unchanged(self):
+        for n in range(0, 21):
+            got = list(enumerate_partitions(n))
+            assert all(type(lam) is Partition for lam in got)
+            assert got == list(_reverse_lex_oracle(n))
+
+    def test_empty_partition(self):
+        assert dimension(Partition()) == 1
+        assert class_size(Partition()) == 1
+
+
+class TestSweepIntegrity:
+    @pytest.fixture(autouse=True)
+    def cold_cache(self):
+        _sweep_records.cache_clear()
+        yield
+        _sweep_records.cache_clear()
+
+    def test_hook_remainder(self, monkeypatch):
+        real = symstats._hook_product
+        monkeypatch.setattr(symstats, "_hook_product", lambda parts: real(parts) * 11)
+        with pytest.raises(IntegrityError, match="does not divide"):
+            list(sweep(8))
+
+    def test_class_denominator(self, monkeypatch):
+        real = symstats._class_denominator
+        # The 8-cycles' centralizer tripled: every class size stays positive.
+        monkeypatch.setattr(symstats, "_class_denominator", lambda parts: real(parts) * (3 if parts == (8,) else 1))
+        with pytest.raises(IntegrityError, match="moment identities"):
+            list(sweep(8))
+
+    def test_involution_count(self, monkeypatch):
+        monkeypatch.setattr(symstats, "involution_count", lambda n: 0)
+        with pytest.raises(IntegrityError, match="moment identities"):
+            list(sweep(8))
+
+    def test_checks_survive_optimize_flag(self):
+        src = str(Path(repstat.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        code = (
+            "from repstat import cli, symstats\n"
+            "real = symstats._hook_product\n"
+            "symstats._hook_product = lambda parts: real(parts) * 11\n"
+            "print(cli.main(['sym', 'sweep', '--n', '8']))\n"
+            "symstats._hook_product = real\n"
+            "symstats.involution_count = lambda n: 0\n"
+            "print(cli.main(['sym', 'sweep', '--n', '9']))\n"
+        )
+        out = subprocess.run([sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True)
+        assert out.stdout.split() == ["4", "4"], out.stderr
+        first, second = out.stderr.splitlines()
+        assert "internal invariant violation: hook product does not divide n!" in first
+        assert "internal invariant violation: moment identities failed at n=9" in second
+
+
+def test_sweep_cache_holds_one_level():
+    _sweep_records.cache_clear()
+    for n in range(1, 31):
+        list(sweep(n))
+    assert _sweep_records.cache_info().currsize == 1
+    max_dimension(20)
+    before = _sweep_records.cache_info()
+    vk_ratio(20)
+    after = _sweep_records.cache_info()
+    assert (after.hits, after.misses, after.currsize) == (before.hits + 1, before.misses, 1)
 
 
 class TestMaxDimension:
