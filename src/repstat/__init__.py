@@ -66,7 +66,5 @@ from .kirillov import (
     UnsupportedCharacteristicError,
     coadjoint_orbits,
     conjugacy_classes,
-    exp_element,
     kirillov_report,
-    log_element,
 )

@@ -5,36 +5,39 @@ triangular matrices), the orbit method matches irreducible representations
 with coadjoint orbits: each orbit has size d^2 for the corresponding
 irreducible dimension d, because the orbit is a symplectic F_p-space and a
 maximal isotropic subspace has half its dimension.  This module verifies
-that correspondence exhaustively, and also checks that the cruder hope
-"d^2 multiset == conjugacy class size multiset" fails already for the
+that correspondence over every functional, and also checks that the cruder
+hope "d^2 multiset == conjugacy class size multiset" fails already for the
 Heisenberg group.
 
-Both tables are exhaustive closures of a linear action on F_p^dim, run by
-one engine over all p^dim coordinate vectors.  Coadjoint orbits are the
-orbits of the transposed adjoint action on functionals.  Conjugacy classes
-need no exp/log step: for g in the group and X strictly upper triangular,
-g(I + X)g^-1 = I + gXg^-1, so the classes are the orbits of X -> gXg^-1
-on the strictly-upper coordinates.  Each generator I + E_(i,j) moves only
-one or two coordinates, so the engine applies it as digit updates to an
-integer state code.  The dense matrix searches it replaces are kept in
-tests/test_kirillov.py as the oracles that both tables are checked against.
+Both tables come from ranks, not from closing orbits.  N = 1 + J is an
+algebra group, and for those (Isaacs, "Characters of groups associated
+with finite algebras", J. Algebra 177, 1995) the coadjoint orbit of f has
+p^rank(B_f) elements, where B_f(x, y) = f([x, y]), and the class of 1 + X
+has p^rank(ad_X) elements.  So the number of orbits of size p^r is the
+number of vectors of rank r divided by p^r.  The diagonal torus keeps both
+ranks and scales coordinate (i, j) by t_i / t_j, so one rank is taken per
+torus orbit: on each support, fix a spanning forest and set its entries
+to 1.  The closures these formulas replace (dense matrix searches and a
+sparse BFS over all p^dim states) are the oracles in tests/kirillov_oracles.py.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import product
 from math import isqrt
 
 from .symstats import CapExceededError, IntegrityError
 
-# Largest p^dim the orbit engine will sweep: ut4 up to p = 11, heis3 up
-# to p = 113.  Its visited array takes one byte per state.
+# Largest p^dim the orbit tables will cover: ut4 up to p = 11, heis3 up
+# to p = 113.  The rank counts themselves are cheap, but the size tuples
+# and the JSON report list every orbit and class, up to p^dim of them.
 MAX_STATES = 2_000_000
 
 
 class UnsupportedCharacteristicError(ValueError):
-    """The truncated exp/log series needs p larger than the nilpotency class."""
+    """The orbit method needs p larger than the nilpotency class."""
 
 
 def _bracket_entries(a: tuple[int, int], b: tuple[int, int]):
@@ -152,9 +155,11 @@ def _is_prime(p: int) -> bool:
 def check_prime(alg: NilAlgebra, p: int) -> None:
     """Admissibility: prime p with p > nilpotency class.
 
-    The truncated exponential divides by k! for k up to the class, so
-    those factorials must be invertible mod p.  The boundary cases p = 2
-    (heis3) and p in {2, 3} (ut4) are exactly where exp/log break down.
+    This is the orbit method's requirement: Kirillov's correspondence for a
+    p-group rests on the truncated exp/log series, which divide by k! for
+    k up to the class, so those factorials must be invertible mod p.  The
+    boundary cases p = 2 (heis3) and p in {2, 3} (ut4) are exactly where
+    exp/log break down.  The rank formulas themselves hold for every p.
     """
     if not _is_prime(p):
         raise ValueError(f"p must be a prime, got {p}")
@@ -163,101 +168,6 @@ def check_prime(alg: NilAlgebra, p: int) -> None:
             f"{alg.name} needs p > {alg.nilpotency_class} for the truncated exp/log "
             f"series (denominators 1..{alg.nilpotency_class} must be invertible); got p={p}"
         )
-
-
-def _identity(m: int) -> tuple[tuple[int, ...], ...]:
-    return tuple(tuple(1 if i == j else 0 for j in range(m)) for i in range(m))
-
-
-def _mat_mul(a, b, p: int):
-    m = len(a)
-    rng = range(m)
-    return tuple(
-        tuple(sum(a[i][k] * b[k][j] for k in rng) % p for j in rng) for i in rng
-    )
-
-
-def _mat_add(a, b, scale: int, p: int):
-    m = len(a)
-    return tuple(
-        tuple((a[i][j] + scale * b[i][j]) % p for j in range(m)) for i in range(m)
-    )
-
-
-def _coords_to_matrix(coords, alg: NilAlgebra, p: int, unipotent: bool = False):
-    """The strictly upper matrix X with these coordinates, or I + X if unipotent."""
-    diag = 1 if unipotent else 0
-    mat = [[diag if i == j else 0 for j in range(alg.matrix_size)] for i in range(alg.matrix_size)]
-    for k, (i, j) in enumerate(alg.positions):
-        mat[i][j] = coords[k] % p
-    return tuple(tuple(row) for row in mat)
-
-
-def _matrix_to_coords(mat, alg: NilAlgebra) -> tuple[int, ...]:
-    return tuple(mat[i][j] for i, j in alg.positions)
-
-
-def exp_element(coords, alg: NilAlgebra, p: int):
-    """exp of the algebra element with the given coordinates, as a matrix.
-
-    Truncated series I + X + X^2/2! + ... ; it terminates because X is
-    nilpotent of degree at most the matrix size.
-    """
-    check_prime(alg, p)
-    x = _coords_to_matrix(coords, alg, p)
-    result = _identity(alg.matrix_size)
-    power = _identity(alg.matrix_size)
-    kfact = 1
-    for k in range(1, alg.matrix_size):
-        power = _mat_mul(power, x, p)
-        kfact *= k
-        result = _mat_add(result, power, pow(kfact, -1, p), p)
-    return result
-
-
-def log_element(mat, alg: NilAlgebra, p: int) -> tuple[int, ...]:
-    """Coordinates of log of a unitriangular matrix; inverse of exp_element."""
-    check_prime(alg, p)
-    m = alg.matrix_size
-    y = tuple(
-        tuple((mat[i][j] - (1 if i == j else 0)) % p for j in range(m)) for i in range(m)
-    )
-    acc = tuple(tuple(0 for _ in range(m)) for _ in range(m))
-    power = _identity(m)
-    for k in range(1, m):
-        power = _mat_mul(power, y, p)
-        sign = 1 if k % 2 == 1 else -1
-        acc = _mat_add(acc, power, sign * pow(k, -1, p) % p, p)
-    return _matrix_to_coords(acc, alg)
-
-
-def _generators(alg: NilAlgebra, p: int):
-    """Elementary generators I + E_(i,j), which generate the whole group.
-
-    Each comes paired with its inverse I - E_(i,j), as E_(i,j)^2 = 0.
-    """
-    gens = []
-    for k in range(alg.dim):
-        coords = [0] * alg.dim
-        coords[k] = 1
-        g = _coords_to_matrix(coords, alg, p, unipotent=True)
-        coords[k] = -1
-        gens.append((g, _coords_to_matrix(coords, alg, p, unipotent=True)))
-    return gens
-
-
-def _conjugation_images(alg: NilAlgebra, p: int, inverse: bool):
-    """Per generator g, the coordinates of g B_k g^-1 for each basis matrix B_k.
-
-    With inverse=True the conjugation is g^-1 B_k g instead.
-    """
-    dim = alg.dim
-    basis = [_coords_to_matrix([int(j == k) for j in range(dim)], alg, p) for k in range(dim)]
-    images = []
-    for g, ginv in _generators(alg, p):
-        left, right = (ginv, g) if inverse else (g, ginv)
-        images.append([_matrix_to_coords(_mat_mul(_mat_mul(left, b, p), right, p), alg) for b in basis])
-    return images
 
 
 def _check_states(p: int, dim: int) -> None:
@@ -269,87 +179,122 @@ def _check_states(p: int, dim: int) -> None:
         )
 
 
-def _linear_orbits(maps, p: int, dim: int) -> tuple[int, ...]:
-    """Sorted orbit sizes of the group generated by linear maps of F_p^dim.
+def _torus_representatives(alg: NilAlgebra, p: int):
+    """One vector per diagonal-torus orbit on F_p^dim, with the orbit's size.
 
-    Each map is a dim x dim matrix M acting by lam -> M lam.  A vector is
-    kept as its integer code sum_j lam_j p^j.  Only the nonzero entries of
-    M - I are stored, so applying a map to a decoded vector touches just
-    the coordinates it changes, adding (new - old) * p^j to the code.
-    Orbits are closed depth-first under the maps, and the sizes must
-    partition p^dim.
+    diag(t) scales coordinate (i, j) by t_i / t_j.  On the vectors with
+    support S, read S as a graph on the matrix indices and fix a spanning
+    forest of it: every torus orbit there has exactly one vector whose
+    forest entries are 1, and it holds (p - 1)^(edges of the forest)
+    vectors.  The other entries of S run over all nonzero values.
     """
-    total = p**dim
-    weights = [p**j for j in range(dim)]
-    moves_per_map = []
-    for m in maps:
-        moves = []
-        for j, row in enumerate(m):
-            deltas = [(v - (j == k)) % p for k, v in enumerate(row)]
-            terms = tuple((k, c) for k, c in enumerate(deltas) if c)
-            if terms:
-                moves.append((j, weights[j], terms))
-        if moves:
-            moves_per_map.append(moves)
-    visited = bytearray(total)
-    sizes = []
-    for start in range(total):
-        if visited[start]:
+    coords = [0] * alg.dim
+    for mask in range(1 << alg.dim):
+        root = list(range(alg.matrix_size))
+
+        def find(i):
+            while root[i] != i:
+                i = root[i]
+            return i
+
+        forest, free = [], []
+        for k, (i, j) in enumerate(alg.positions):
+            coords[k] = 0
+            if mask >> k & 1:
+                ri, rj = find(i), find(j)
+                if ri == rj:
+                    free.append(k)
+                else:
+                    root[ri] = rj
+                    forest.append(k)
+                    coords[k] = 1
+        weight = (p - 1) ** len(forest)
+        for values in product(range(1, p), repeat=len(free)):
+            for k, v in zip(free, values):
+                coords[k] = v
+            yield tuple(coords), weight
+
+
+def _rank_mod_p(rows: list[list[int]], p: int) -> int:
+    """Rank of a square matrix over F_p by Gaussian elimination; rows is overwritten."""
+    rank = 0
+    for col in range(len(rows)):
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][col] % p), None)
+        if pivot is None:
             continue
-        visited[start] = 1
-        stack = [start]
-        size = 1
-        while stack:
-            code = stack.pop()
-            lam = []
-            rest = code
-            for _ in range(dim):
-                rest, v = divmod(rest, p)
-                lam.append(v)
-            for moves in moves_per_map:
-                image = code
-                for j, weight, terms in moves:
-                    old = lam[j]
-                    new = old
-                    for k, c in terms:
-                        new += c * lam[k]
-                    image += (new % p - old) * weight
-                if not visited[image]:
-                    visited[image] = 1
-                    size += 1
-                    stack.append(image)
-        sizes.append(size)
-    if sum(sizes) != total:
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        inv = pow(rows[rank][col], -1, p)
+        top = [x * inv % p for x in rows[rank]]
+        for r in range(rank + 1, len(rows)):
+            f = rows[r][col] % p
+            if f:
+                rows[r] = [(x - f * y) % p for x, y in zip(rows[r], top)]
+        rank += 1
+    return rank
+
+
+def _sizes_from_ranks(alg: NilAlgebra, p: int, entries) -> tuple[int, ...]:
+    """Sorted orbit sizes when the orbit of v has p^rank(M_v) elements.
+
+    M_v is the dim x dim matrix linear in v given by entries: each
+    (row, col, k, c) adds c * v_k to M_v[row][col].  The rank is constant
+    on torus orbits, so it is taken once per torus representative, and
+    the count of vectors of rank r must split into whole orbits of size
+    p^r.  The sizes must partition p^dim.
+    """
+    dim = alg.dim
+    counts: dict[int, int] = {}
+    for coords, weight in _torus_representatives(alg, p):
+        rows = [[0] * dim for _ in range(dim)]
+        for r, s, k, c in entries:
+            rows[r][s] += c * coords[k]
+        rank = _rank_mod_p(rows, p)
+        counts[rank] = counts.get(rank, 0) + weight
+    sizes: list[int] = []
+    for rank in sorted(counts):
+        size = p**rank
+        orbits, rest = divmod(counts[rank], size)
+        if rest:
+            raise IntegrityError(f"{counts[rank]} vectors of rank {rank} do not split into orbits of size {size}")
+        sizes += [size] * orbits
+    if sum(sizes) != p**dim:
         raise IntegrityError(f"orbit sizes sum to {sum(sizes)}, not {p}^{dim}")
-    return tuple(sorted(sizes))
+    return tuple(sizes)
 
 
 @lru_cache(maxsize=None)
 def coadjoint_orbits(alg: NilAlgebra, p: int) -> tuple[int, ...]:
     """Orbit sizes of the coadjoint action on all p^dim functionals.
 
-    A functional is a coordinate vector in the dual basis; g sends lam to
-    lam(g^-1 . g), so lam'_j = sum_k rows[j][k] lam_k where rows[j] holds
-    the coordinates of g^-1 B_j g.  The sizes partition p^dim.
+    The orbit of f has p^rank(B_f) elements, where B_f is the form
+    B_f(x, y) = f([x, y]): B_f[a][b] = sum_k f_k c^k_ab with the structure
+    constants c^k_ab of the algebra.  The sizes partition p^dim.
     """
     _check_states(p, alg.dim)
     check_prime(alg, p)
-    return _linear_orbits(_conjugation_images(alg, p, inverse=True), p, alg.dim)
+    entries = []
+    for (a, b), vec in alg.brackets:
+        for k, c in vec:
+            entries += [(a, b, k, c), (b, a, k, -c)]
+    return _sizes_from_ranks(alg, p, entries)
 
 
 @lru_cache(maxsize=None)
 def conjugacy_classes(alg: NilAlgebra, p: int) -> tuple[int, ...]:
     """Conjugacy class sizes of the unitriangular group.
 
-    The element I + X is enumerated by the strictly-upper coordinates of X,
-    and g(I + X)g^-1 = I + gXg^-1, so the classes are the orbits of the
-    conjugation action on those coordinates: column k of its matrix holds
-    the coordinates of g B_k g^-1.  The sizes partition p^dim.
+    The element I + X is enumerated by the strictly-upper coordinates of X.
+    Its centralizer is I plus the kernel of ad_X = [X, -], so its class
+    has p^rank(ad_X) elements; column b of ad_X is sum_a X_a [e_a, e_b].
+    The sizes partition p^dim.
     """
     _check_states(p, alg.dim)
     check_prime(alg, p)
-    maps = [tuple(zip(*images)) for images in _conjugation_images(alg, p, inverse=False)]
-    return _linear_orbits(maps, p, alg.dim)
+    entries = []
+    for (a, b), vec in alg.brackets:
+        for k, c in vec:
+            entries += [(k, b, a, c), (k, a, b, -c)]
+    return _sizes_from_ranks(alg, p, entries)
 
 
 @dataclass(frozen=True)
@@ -382,6 +327,9 @@ def _even_p_power_root(size: int, p: int) -> int:
 def kirillov_report(alg: NilAlgebra, p: int) -> OrbitReport:
     """Full orbit/class comparison for one algebra and prime.
 
+    The number of coadjoint orbits must equal the number of conjugacy
+    classes, as it does for every algebra group.
+
     match_kirillov: the squared orbit-size roots sum to the group order
     and the number of fixed functionals equals the order of the
     abelianization (the count of 1-dimensional representations).
@@ -392,6 +340,10 @@ def kirillov_report(alg: NilAlgebra, p: int) -> OrbitReport:
     """
     orbit_sizes = coadjoint_orbits(alg, p)
     class_sizes = conjugacy_classes(alg, p)
+    if len(orbit_sizes) != len(class_sizes):
+        raise IntegrityError(
+            f"{alg.name} at p={p}: {len(orbit_sizes)} coadjoint orbits but {len(class_sizes)} conjugacy classes"
+        )
     group_order = p**alg.dim
     rep_dims = tuple(_even_p_power_root(s, p) for s in orbit_sizes)
     fixed = sum(1 for s in orbit_sizes if s == 1)

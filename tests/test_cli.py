@@ -273,6 +273,8 @@ GOLDEN = [
     ("sym layers --n 24", "ec9b5416c47da0a09faf02a6e94735834f02cc81b39a29951c22789c7b344219", "4dd933fa2ecc311ade2b93260031efffcbc5371ae93299df323c558d895e911f"),
     ("sym maxdim --nmax 24", "9de8b778bcf6db7b4b412a3e3065933b1ce281ae26e16b7529c88d6d1a906ad4", "83fdd5ebcedc39480349438d057960435c153c8b2b1390317058dda0bf481415"),
     ("sym hist --n 26 --what class --bins 20", "d89a37ab692a31c6a06a67e59ee395ae6f647d6d02c7ad4cf85fb138595ff3b1", "868d34ac46d45200db97d3736b9c8b9be5c4c667df1df486d5b6ccff2ce9ea06"),
+    # A size the orbit benchmark does not run, hashed from the BFS engine's output.
+    ("kirillov --alg ut4 --p 7", "a22719b7eee4d1b6a1f43464ccafcd8a0a40f6e54c5cdaaa40a3a9631d2f6d35", "1af09403416d922dedeba2feec2234209f866b9eb3b0c5a2adcdc9cdb99f18b6"),
 ]
 
 

@@ -1,8 +1,9 @@
 """Orbit method on the Heisenberg and 4x4 unitriangular groups.
 
-The library closes orbits of sparse linear maps on integer state codes.
-The oracles here do it the slow, obvious way instead: dense matrices,
-conjugation by the elementary generators, and tuple states.
+The library counts orbit and class sizes from ranks over torus
+representatives.  The oracles in kirillov_oracles.py close the orbits
+instead: by dense matrix searches, and by the sparse BFS engine the
+library used before the rank formulas.
 """
 
 import os
@@ -14,6 +15,7 @@ from pathlib import Path
 import pytest
 
 import repstat
+from repstat import kirillov
 from repstat.kirillov import (
     ALGEBRAS,
     HEIS3,
@@ -21,92 +23,22 @@ from repstat.kirillov import (
     UT4,
     UnsupportedCharacteristicError,
     _even_p_power_root,
+    check_prime,
     coadjoint_orbits,
     conjugacy_classes,
-    exp_element,
     kirillov_report,
-    log_element,
 )
 from repstat.symstats import CapExceededError, IntegrityError
 
-
-def _mat_mul(a, b, p):
-    rng = range(len(a))
-    return tuple(tuple(sum(a[i][k] * b[k][j] for k in rng) % p for j in rng) for i in rng)
-
-
-def _matrix(alg, coords, diag, p):
-    m = alg.matrix_size
-    mat = [[diag if i == j else 0 for j in range(m)] for i in range(m)]
-    for (i, j), v in zip(alg.positions, coords):
-        mat[i][j] = v % p
-    return tuple(tuple(row) for row in mat)
-
-
-def _coords(alg, mat):
-    return tuple(mat[i][j] for i, j in alg.positions)
-
-
-def _all_states(dim, p):
-    for code in range(p**dim):
-        coords = []
-        for _ in range(dim):
-            code, v = divmod(code, p)
-            coords.append(v)
-        yield tuple(coords)
-
-
-def _elementary_pairs(alg, p):
-    """(I + E_ij, I - E_ij) for every strictly-upper position (i, j)."""
-    pairs = []
-    for k in range(alg.dim):
-        unit = [0] * alg.dim
-        unit[k] = 1
-        minus = [0] * alg.dim
-        minus[k] = -1
-        pairs.append((_matrix(alg, unit, 1, p), _matrix(alg, minus, 1, p)))
-    return pairs
-
-
-def _closure_sizes(states, step):
-    """Sorted sizes of the classes of the equivalence generated by step."""
-    seen = set()
-    sizes = []
-    for start in states:
-        if start in seen:
-            continue
-        seen.add(start)
-        stack = [start]
-        size = 1
-        while stack:
-            for image in step(stack.pop()):
-                if image not in seen:
-                    seen.add(image)
-                    size += 1
-                    stack.append(image)
-        sizes.append(size)
-    return tuple(sorted(sizes))
-
-
-def oracle_conjugacy_classes(alg, p):
-    """Class sizes by conjugating unitriangular matrices g x g^-1."""
-    pairs = _elementary_pairs(alg, p)
-    group = (_matrix(alg, coords, 1, p) for coords in _all_states(alg.dim, p))
-    return _closure_sizes(group, lambda x: [_mat_mul(_mat_mul(g, x, p), ginv, p) for g, ginv in pairs])
-
-
-def oracle_coadjoint_orbits(alg, p):
-    """Orbit sizes of lam -> lam(g^-1 . g) through dense rows of Ad(g^-1)."""
-    rng = range(alg.dim)
-    maps = []
-    for g, ginv in _elementary_pairs(alg, p):
-        basis = (_matrix(alg, [int(j == k) for j in rng], 0, p) for k in rng)
-        maps.append([_coords(alg, _mat_mul(_mat_mul(ginv, b, p), g, p)) for b in basis])
-
-    def step(lam):
-        return [tuple(sum(rows[j][k] * lam[k] for k in rng) % p for j in rng) for rows in maps]
-
-    return _closure_sizes(_all_states(alg.dim, p), step)
+from kirillov_oracles import (
+    _all_states,
+    bfs_coadjoint_orbits,
+    bfs_conjugacy_classes,
+    exp_element,
+    log_element,
+    oracle_coadjoint_orbits,
+    oracle_conjugacy_classes,
+)
 
 
 class TestAlgebras:
@@ -128,42 +60,23 @@ class TestExpLog:
     def test_single_generator(self):
         assert exp_element((1, 0, 0), HEIS3, 3) == ((1, 1, 0), (0, 1, 0), (0, 0, 1))
 
-    @staticmethod
-    def _all_coords(dim, p):
-        for code in range(p**dim):
-            coords = []
-            c = code
-            for _ in range(dim):
-                c, v = divmod(c, p)
-                coords.append(v)
-            yield tuple(coords)
-
     def test_round_trip_heis3_full_group(self):
         for p in (3, 5, 7):
-            for coords in self._all_coords(3, p):
+            check_prime(HEIS3, p)
+            for coords in _all_states(3, p):
                 assert log_element(exp_element(coords, HEIS3, p), HEIS3, p) == coords
 
     def test_round_trip_ut4_full_group(self):
         # exp is a bijection onto the unitriangular group for each p <= 7:
         # log inverts it on all p^6 coordinate vectors, and the counts match.
         for p in (5, 7):
+            check_prime(UT4, p)
             seen = set()
-            for coords in self._all_coords(6, p):
+            for coords in _all_states(6, p):
                 mat = exp_element(coords, UT4, p)
                 seen.add(mat)
                 assert log_element(mat, UT4, p) == coords
             assert len(seen) == p**6
-
-    def test_small_characteristic_rejected(self):
-        with pytest.raises(UnsupportedCharacteristicError):
-            exp_element((0, 0, 0), HEIS3, 2)
-        for p in (2, 3):
-            with pytest.raises(UnsupportedCharacteristicError):
-                exp_element((0,) * 6, UT4, p)
-
-    def test_nonprime_rejected(self):
-        with pytest.raises(ValueError):
-            exp_element((0, 0, 0), HEIS3, 9)
 
 
 class TestOrbits:
@@ -191,14 +104,19 @@ class TestClasses:
 
 
 ORACLE_CASES = [(HEIS3, 3), (HEIS3, 5), (HEIS3, 7), (UT4, 5)]
+BFS_CASES = [(HEIS3, p) for p in (3, 5, 7, 11, 13, 23, 29)] + [(UT4, 5), (UT4, 7)]
+
+
+def _case_id(v):
+    return getattr(v, "name", v)
 
 
 class TestAgainstOracle:
-    @pytest.mark.parametrize("alg, p", ORACLE_CASES, ids=lambda v: getattr(v, "name", v))
+    @pytest.mark.parametrize("alg, p", ORACLE_CASES, ids=_case_id)
     def test_conjugacy_classes(self, alg, p):
         assert conjugacy_classes(alg, p) == oracle_conjugacy_classes(alg, p)
 
-    @pytest.mark.parametrize("alg, p", ORACLE_CASES, ids=lambda v: getattr(v, "name", v))
+    @pytest.mark.parametrize("alg, p", ORACLE_CASES, ids=_case_id)
     def test_coadjoint_orbits(self, alg, p):
         assert coadjoint_orbits(alg, p) == oracle_coadjoint_orbits(alg, p)
 
@@ -216,6 +134,26 @@ class TestAgainstOracle:
         # size q^4: the degrees 1, q, q^2 of the irreducible characters.
         assert Counter(coadjoint_orbits(UT4, 5)) == {1: 125, 25: 120, 625: 20}
 
+    @pytest.mark.parametrize("alg, p", BFS_CASES, ids=_case_id)
+    def test_rank_engine_matches_bfs(self, alg, p):
+        assert coadjoint_orbits(alg, p) == bfs_coadjoint_orbits(alg, p)
+        assert conjugacy_classes(alg, p) == bfs_conjugacy_classes(alg, p)
+
+    @pytest.mark.parametrize("q", [7, 11])
+    def test_ut4_closed_forms(self, q):
+        classes = {1: q, q: q**2 - 1, q**2: q * (q - 1) * (q + 2), q**3: (q - 1) ** 2 * (q + 1)}
+        assert sum(classes.values()) == 2 * q**3 + q**2 - 2 * q
+        assert Counter(conjugacy_classes(UT4, q)) == classes
+        assert Counter(coadjoint_orbits(UT4, q)) == {1: q**3, q**2: q**3 - q, q**4: q**2 - q}
+
+    @pytest.mark.parametrize("p", [11, 13])
+    def test_heis3_closed_forms(self, p):
+        # p central classes and p^2 - 1 of size p; p^2 linear characters
+        # and p - 1 of degree p.
+        assert Counter(conjugacy_classes(HEIS3, p)) == {1: p, p: p**2 - 1}
+        assert Counter(coadjoint_orbits(HEIS3, p)) == {1: p**2, p**2: p - 1}
+        assert len(conjugacy_classes(HEIS3, p)) == p**2 + p - 1
+
 
 class TestGuards:
     def test_state_cap_bounds(self):
@@ -227,6 +165,19 @@ class TestGuards:
         for engine in (coadjoint_orbits, conjugacy_classes):
             with pytest.raises(CapExceededError, match="states"):
                 engine(alg, p)
+
+    def test_small_characteristic_rejected(self):
+        for engine in (coadjoint_orbits, conjugacy_classes):
+            with pytest.raises(UnsupportedCharacteristicError):
+                engine(HEIS3, 2)
+            for p in (2, 3):
+                with pytest.raises(UnsupportedCharacteristicError):
+                    engine(UT4, p)
+
+    def test_nonprime_rejected(self):
+        for engine in (coadjoint_orbits, conjugacy_classes):
+            with pytest.raises(ValueError, match="prime"):
+                engine(HEIS3, 9)
 
     def test_odd_p_power_is_integrity_error(self):
         p = 5
@@ -249,6 +200,59 @@ class TestGuards:
         )
         out = subprocess.run([sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True)
         assert out.stdout.strip() == "raised", out.stderr
+
+
+@pytest.fixture
+def fresh_caches():
+    coadjoint_orbits.cache_clear()
+    conjugacy_classes.cache_clear()
+    yield
+    coadjoint_orbits.cache_clear()
+    conjugacy_classes.cache_clear()
+
+
+class TestRankIntegrity:
+    """Each check in the rank engine and the report fires on a corrupted helper."""
+
+    def test_inexact_orbit_count(self, monkeypatch, fresh_caches):
+        real = kirillov._rank_mod_p
+        monkeypatch.setattr(kirillov, "_rank_mod_p", lambda rows, p: real(rows, p) + 1)
+        # heis3 has p^3 - p^2 functionals of rank 2, not a multiple of p^3.
+        with pytest.raises(IntegrityError, match="do not split"):
+            coadjoint_orbits(HEIS3, 5)
+
+    def test_sizes_must_partition_p_dim(self, monkeypatch, fresh_caches):
+        real = kirillov._torus_representatives
+
+        def drop_zero_vector(alg, p):
+            reps = real(alg, p)
+            next(reps)
+            yield from reps
+
+        monkeypatch.setattr(kirillov, "_torus_representatives", drop_zero_vector)
+        for engine in (coadjoint_orbits, conjugacy_classes):
+            with pytest.raises(IntegrityError, match="sum to 124, not 5"):
+                engine(HEIS3, 5)
+
+    def test_orbits_must_equal_classes(self, monkeypatch, fresh_caches):
+        coadjoint_orbits(HEIS3, 5)
+        monkeypatch.setattr(kirillov, "_rank_mod_p", lambda rows, p: 0)
+        with pytest.raises(IntegrityError, match="29 coadjoint orbits but 125 conjugacy classes"):
+            kirillov_report(HEIS3, 5)
+
+    def test_cli_exit_4_under_optimize_flag(self):
+        src = str(Path(repstat.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        code = (
+            "import sys\n"
+            "from repstat import cli, kirillov\n"
+            "real = kirillov._rank_mod_p\n"
+            "kirillov._rank_mod_p = lambda rows, p: real(rows, p) + 1\n"
+            "sys.exit(cli.main(['kirillov', '--alg', 'heis3', '--p', '5']))\n"
+        )
+        out = subprocess.run([sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True)
+        assert out.returncode == 4, out.stderr
+        assert out.stdout == "" and "internal invariant violation" in out.stderr
 
 
 class TestReport:
