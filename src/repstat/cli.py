@@ -31,7 +31,7 @@ from .qseries import (
 )
 from .rsk import sample_plancherel
 from .symstats import (
-    DEFAULT_SWEEP_CAP, CapExceededError, IntegrityError, angle_report, asymptotic_estimates, histogram,
+    MAX_SWEEP_N, CapExceededError, IntegrityError, _check_cap, angle_report, asymptotic_estimates, histogram,
     interval_counts, involution_count, layer_sums, ln_big, max_dimension, sweep, vk_ratio,
 )
 
@@ -78,7 +78,6 @@ class _Command(NamedTuple):
     args: dict
     columns: tuple[str, ...]
     rows: Callable
-    cap: bool = False
     extra: bool = False
 
 
@@ -105,8 +104,7 @@ def _emit(args) -> str:
 
 def _sized_range(nmax: int, cap: int) -> range:
     """1..nmax, refusing an nmax above cap before any row is computed."""
-    if nmax > cap:
-        raise CapExceededError(nmax, cap, f"--nmax {nmax} exceeds the cap {cap}")
+    _check_cap(nmax, cap, "nmax")
     return range(1, nmax + 1)
 
 
@@ -116,24 +114,24 @@ def _poly_rows(pairs):
 
 def _hist_rows(a):
     value = {"dim": lambda r: float(r.dim), "dimsq": lambda r: r.log_dim_sq, "class": lambda r: r.log_class}[a.what]
-    hist = histogram([value(r) for r in sweep(a.n, a.cap)], a.bins)
+    hist = histogram((value(r) for r in sweep(a.n)), a.bins)
     return [(hist.bin_edges[i], hist.bin_edges[i + 1], c) for i, c in enumerate(hist.counts)]
 
 
 def _intervals_rows(a):
-    c = interval_counts(a.n, a.alpha, a.beta, a.cap)
+    c = interval_counts(a.n, a.alpha, a.beta)
     ratio = c.count_dim_sq / c.count_class if c.count_class else None
     return [(c.n, c.alpha, c.beta, c.count_dim_sq, c.count_class, ratio)]
 
 
 def _maxdim_rows(a):
     rows = []
-    for n in range(1, a.nmax + 1):
-        m, argmax = max_dimension(n, a.cap)
+    for n in _sized_range(a.nmax, MAX_SWEEP_N):
+        m, argmax = max_dimension(n)
         mean_log = ln_big(involution_count(n)) - ln_big(partition_count(n))
         log_avg = asymptotic_estimates(n)[3]
         argmax = ";".join(lam.serialize() for lam in argmax)
-        rows.append((n, m, argmax, vk_ratio(n, a.cap), ln_big(m), mean_log, log_avg))
+        rows.append((n, m, argmax, vk_ratio(n), ln_big(m), mean_log, log_avg))
     return rows
 
 
@@ -190,37 +188,33 @@ _COMMANDS = (
     _Command(
         ("sym", "sweep"), "per-partition dimensions and class sizes", {"--n": _INT},
         ("partition", "dim", "class_size", "ln_dim_sq", "ln_class"),
-        lambda a: [(r.lam.serialize(), r.dim, r.class_size, r.log_dim_sq, r.log_class) for r in sweep(a.n, a.cap)],
-        cap=True,
+        lambda a: [(r.lam.serialize(), r.dim, r.class_size, r.log_dim_sq, r.log_class) for r in sweep(a.n)],
     ),
     _Command(
         ("sym", "hist"), "histogram of dims or log data",
         {"--n": _INT, "--what": {"choices": ["dim", "dimsq", "class"], "default": "dimsq"}, "--bins": _INT},
-        ("bin_left", "bin_right", "count"), _hist_rows, cap=True,
+        ("bin_left", "bin_right", "count"), _hist_rows,
     ),
     _Command(
         ("sym", "angle"), "cosine against the constant vector", {"--nmax": _INT},
         ("n", "sum_dim", "sum_dim_sq", "count", "cos_sq", "log_ratio", "predicted_log"),
         lambda a: [
             (r.n, r.sum_dim, r.sum_dim_sq, r.count, r.cos_sq, r.log_ratio, r.predicted_log)
-            for r in (angle_report(n, a.cap) for n in range(1, a.nmax + 1))
+            for r in map(angle_report, _sized_range(a.nmax, MAX_SWEEP_N))
         ],
-        cap=True,
     ),
     _Command(
         ("sym", "intervals"), "window counts of log data", {"--n": _INT, "--alpha": _FLOAT, "--beta": _FLOAT},
-        ("n", "alpha", "beta", "count_dim_sq", "count_class", "ratio"), _intervals_rows, cap=True,
+        ("n", "alpha", "beta", "count_dim_sq", "count_class", "ratio"), _intervals_rows,
     ),
     _Command(
         ("sym", "layers"), "log sums grouped by largest part", {"--n": _INT},
         ("k", "sum_ln_dim_sq", "sum_ln_class"),
-        lambda a: [(k, *layer_sums(a.n, k, a.cap)) for k in range(1, a.n + 1)],
-        cap=True,
+        lambda a: [(k, *layer_sums(a.n, k)) for k in range(1, a.n + 1)],
     ),
     _Command(
         ("sym", "maxdim"), "max dimension and related curves", {"--nmax": _INT},
         ("n", "max_dim", "argmax", "vk_ratio", "ln_max_dim", "ln_mean_dim", "ln_asym_avg_dim"), _maxdim_rows,
-        cap=True,
     ),
     _Command(
         ("sym", "plancherel"), "seeded Plancherel samples", {"--n": _INT, "--count": _INT, "--seed": _INT},
@@ -282,10 +276,6 @@ def build_parser() -> _Parser:
             p.add_argument(flag, **spec)
         p.add_argument("--format", choices=["csv", "json"], default="csv")
         p.add_argument("--out", default=None, help="output path (default stdout)")
-        if cmd.cap:
-            p.add_argument(
-                "--cap", type=int, default=DEFAULT_SWEEP_CAP, help="explicit sweep-size limit acknowledgment"
-            )
         p.set_defaults(cmd=cmd)
     return parser
 

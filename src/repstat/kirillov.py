@@ -24,7 +24,6 @@ sparse BFS over all p^dim states) are the oracles in tests/kirillov_oracles.py.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import product
 from math import isqrt
 
@@ -111,14 +110,8 @@ def _build_strictly_upper(name: str, m: int) -> NilAlgebra:
     layer = set(range(dim))
     series = [layer]
     while layer:
-        nxt = set()
-        for a in range(dim):
-            for b in layer:
-                u, v = (a, b) if a < b else (b, a)
-                if a != b:
-                    for (pair, vec) in brackets:
-                        if pair == (u, v):
-                            nxt.update(k for k, _ in vec)
+        # [n, layer] is spanned by the brackets of basis pairs that meet layer.
+        nxt = {k for (a, b), vec in brackets for k, _ in vec if a in layer or b in layer}
         series.append(nxt)
         if nxt == layer:
             raise IntegrityError(f"{name} is not nilpotent")
@@ -262,7 +255,6 @@ def _sizes_from_ranks(alg: NilAlgebra, p: int, entries) -> tuple[int, ...]:
     return tuple(sizes)
 
 
-@lru_cache(maxsize=None)
 def coadjoint_orbits(alg: NilAlgebra, p: int) -> tuple[int, ...]:
     """Orbit sizes of the coadjoint action on all p^dim functionals.
 
@@ -279,7 +271,6 @@ def coadjoint_orbits(alg: NilAlgebra, p: int) -> tuple[int, ...]:
     return _sizes_from_ranks(alg, p, entries)
 
 
-@lru_cache(maxsize=None)
 def conjugacy_classes(alg: NilAlgebra, p: int) -> tuple[int, ...]:
     """Conjugacy class sizes of the unitriangular group.
 

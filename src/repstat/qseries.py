@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
-from .symstats import CapExceededError, IntegrityError
+from .symstats import IntegrityError, _check_cap
 
 # Largest sizes the GL tables accept.  On a shared 2-CPU Xeon with Python
 # 3.11, feit_fine(200) takes about 0.8 s, gl_order over n = 1..60 about
@@ -186,11 +186,6 @@ class TruncatedSeries:
                 if not b.is_zero():
                     out[i + j] = out[i + j] + a * b
         return TruncatedSeries(n, out)
-
-
-def _check_cap(value: int, cap: int, what: str) -> None:
-    if value > cap:
-        raise CapExceededError(value, cap, f"{what}={value} exceeds the cap {cap}")
 
 
 _class_counts = [P_ONE]  # dense table of C_0, C_1, ..., grown on demand

@@ -21,7 +21,7 @@ from math import factorial
 from typing import Iterator
 
 from .partitions import Partition
-from .symstats import CapExceededError, dimension, ln_big
+from .symstats import _check_cap, dimension, ln_big
 
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -116,9 +116,8 @@ def sample_plancherel(
         raise ValueError(f"n must be at least 1, got {n}")
     if count < 1:
         raise ValueError(f"count must be at least 1, got {count}")
-    for what, value, cap in (("n", n, MAX_PLANCHEREL_N), ("n*count", n * count, MAX_PLANCHEREL_CELLS)):
-        if value > cap:
-            raise CapExceededError(value, cap, f"{what}={value} exceeds the cap {cap}")
+    _check_cap(n, MAX_PLANCHEREL_N, "n")
+    _check_cap(n * count, MAX_PLANCHEREL_CELLS, "n*count")
     log_fact = ln_big(factorial(n))
     for k in range(count):
         shape = rsk_shape(random_permutation(n, substream(seed, k)))

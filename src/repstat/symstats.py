@@ -29,7 +29,10 @@ from math import factorial, perm
 
 from .partitions import Partition, _partition_tuples, partition_count
 
-DEFAULT_SWEEP_CAP = 50
+# Largest n the S_n sweeps accept and largest bin count histogram accepts.
+# A sweep holds all p(n) records, 204,226 at n = 50.
+MAX_SWEEP_N = 50
+MAX_HIST_BINS = 10_000
 
 _LN2 = math.log(2)
 
@@ -39,12 +42,22 @@ class IntegrityError(RuntimeError):
 
 
 class CapExceededError(RuntimeError):
-    """A full-enumeration request exceeded the configured size cap."""
+    """A request exceeded one of the library's fixed size caps.
 
-    def __init__(self, n: int, cap: int, message: str | None = None):
-        super().__init__(message or f"n={n} exceeds the sweep cap {cap}; raise it explicitly to proceed")
-        self.n = n
+    Every cap is a module constant (MAX_SWEEP_N, MAX_POLY_N, MAX_STATES,
+    ...); none can be raised by the caller.  value is the size asked for,
+    cap the limit it exceeded, and message says which input was too large.
+    """
+
+    def __init__(self, value: int, cap: int, message: str):
+        super().__init__(message)
+        self.value = value
         self.cap = cap
+
+
+def _check_cap(value: int, cap: int, what: str) -> None:
+    if value > cap:
+        raise CapExceededError(value, cap, f"{what}={value} exceeds the cap {cap}")
 
 
 def ln_big(x: int) -> float:
@@ -184,29 +197,28 @@ def _sweep_records(n: int) -> tuple[DimRecord, ...]:
     return tuple(records)
 
 
-def _check_cap(n: int, cap: int) -> None:
+def _check_sweep_n(n: int) -> None:
     if n < 1:
         raise ValueError(f"n must be at least 1, got {n}")
-    if n > cap:
-        raise CapExceededError(n, cap)
+    _check_cap(n, MAX_SWEEP_N, "n")
 
 
-def sweep(n: int, cap: int = DEFAULT_SWEEP_CAP):
+def sweep(n: int):
     """One DimRecord per partition of n, in enumeration order.
 
     Verifies the three moment identities exactly before yielding anything.
     """
-    _check_cap(n, cap)
+    _check_sweep_n(n)
     yield from _sweep_records(n)
 
 
-def max_dimension(n: int, cap: int = DEFAULT_SWEEP_CAP) -> tuple[int, list[Partition]]:
+def max_dimension(n: int) -> tuple[int, list[Partition]]:
     """Largest irreducible dimension of S_n and every partition attaining it.
 
     The attaining set is closed under conjugation since dim is invariant
     under transposing the diagram.
     """
-    _check_cap(n, cap)
+    _check_sweep_n(n)
     best = 0
     argmax: list[Partition] = []
     for rec in _sweep_records(n):
@@ -243,8 +255,8 @@ def cos_sq_exact(n: int) -> Fraction:
     return Fraction(i * i, partition_count(n) * factorial(n))
 
 
-def angle_report(n: int, cap: int = DEFAULT_SWEEP_CAP) -> AngleReport:
-    _check_cap(n, cap)
+def angle_report(n: int) -> AngleReport:
+    _check_sweep_n(n)
     inv = involution_count(n)
     pn = partition_count(n)
     fact = factorial(n)
@@ -311,12 +323,10 @@ class IntervalCounts:
     count_class: int
 
 
-def interval_counts(
-    n: int, alpha: float, beta: float, cap: int = DEFAULT_SWEEP_CAP
-) -> IntervalCounts:
+def interval_counts(n: int, alpha: float, beta: float) -> IntervalCounts:
     if not 0.0 <= alpha < beta <= 1.0:
         raise ValueError(f"need 0 <= alpha < beta <= 1, got alpha={alpha}, beta={beta}")
-    _check_cap(n, cap)
+    _check_sweep_n(n)
     scale = n * math.log(n)
     lo, hi = alpha * scale, beta * scale
     count_a = 0
@@ -329,9 +339,9 @@ def interval_counts(
     return IntervalCounts(n, alpha, beta, count_a, count_b)
 
 
-def layer_sums(n: int, k: int, cap: int = DEFAULT_SWEEP_CAP) -> tuple[float, float]:
+def layer_sums(n: int, k: int) -> tuple[float, float]:
     """Sums of ln(dim^2) and ln(class size) over partitions with largest part k."""
-    _check_cap(n, cap)
+    _check_sweep_n(n)
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= n, got k={k}")
     records = _sweep_records(n)
@@ -346,9 +356,7 @@ def layer_sums(n: int, k: int, cap: int = DEFAULT_SWEEP_CAP) -> tuple[float, flo
     return a, b
 
 
-def fraction_near_max(
-    n: int, threshold, cap: int = DEFAULT_SWEEP_CAP
-) -> tuple[Fraction, bool]:
+def fraction_near_max(n: int, threshold) -> tuple[Fraction, bool]:
     """Proportion C of partitions whose dimension is within a factor of the max.
 
     C = #{lam : threshold * m_n <= dim <= m_n} / p(n), exact.  Also reports
@@ -358,19 +366,16 @@ def fraction_near_max(
     frac = Fraction(threshold)
     if not 0 < frac < 1:
         raise ValueError(f"threshold must lie strictly between 0 and 1, got {threshold}")
-    _check_cap(n, cap)
-    records = _sweep_records(n)
-    m, _ = max_dimension(n, cap)
-    near = sum(1 for rec in records if rec.dim * frac.denominator >= frac.numerator * m)
+    m, _ = max_dimension(n)
+    near = sum(1 for rec in _sweep_records(n) if rec.dim * frac.denominator >= frac.numerator * m)
     c = Fraction(near, partition_count(n))
     bound_ok = 2.0 * ln_fraction(frac * c) <= -0.9 * angle_decay_constant() * math.sqrt(n)
     return c, bound_ok
 
 
-def vk_ratio(n: int, cap: int = DEFAULT_SWEEP_CAP) -> float:
+def vk_ratio(n: int) -> float:
     """-ln(m_n^2 / n!) / sqrt(n), the concentration rate of the max dimension."""
-    _check_cap(n, cap)
-    m, _ = max_dimension(n, cap)
+    m, _ = max_dimension(n)
     return (ln_big(factorial(n)) - 2.0 * ln_big(m)) / math.sqrt(n)
 
 
@@ -386,13 +391,15 @@ def histogram(values, bins: int) -> Histogram:
     A value equal to an interior edge goes to the bin on its right; the
     maximum goes to the last bin.  Constant data degenerates to a single
     bin spanning a unit interval around the value, so the count total is
-    always conserved.
+    always conserved.  bins is checked before values is consumed, so a
+    refused request costs nothing even when values is a lazy sweep.
     """
+    if bins < 1:
+        raise ValueError(f"bins must be at least 1, got {bins}")
+    _check_cap(bins, MAX_HIST_BINS, "bins")
     values = list(values)
     if not values:
         raise ValueError("histogram needs at least one value")
-    if bins < 1:
-        raise ValueError(f"bins must be at least 1, got {bins}")
     lo = min(values)
     hi = max(values)
     if lo == hi:

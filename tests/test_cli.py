@@ -13,7 +13,7 @@ from repstat.cli import main
 from repstat.partitions import partition_count
 from repstat.qseries import MAX_CLASS_COUNT_N, MAX_GAUSS_ORDER, MAX_POLY_N, MAX_RATIO_BITS
 from repstat.rsk import MAX_PLANCHEREL_CELLS, MAX_PLANCHEREL_N
-from repstat.symstats import DEFAULT_SWEEP_CAP
+from repstat.symstats import MAX_HIST_BINS, MAX_SWEEP_N
 
 
 def run_cli(capsys, *argv):
@@ -89,6 +89,38 @@ class TestDeterminismAndFormats:
         assert code == 2 and "cannot write" in err
 
 
+GL_CAPS = [
+    (("gl", "classes", "--nmax"), MAX_CLASS_COUNT_N),
+    (("gl", "ratio", "--q", "2", "--nmax"), MAX_CLASS_COUNT_N),
+    (("gl", "gow", "--nmax"), MAX_POLY_N),
+    (("gl", "order", "--nmax"), MAX_POLY_N),
+    (("gl", "gauss", "--order"), MAX_GAUSS_ORDER),
+    # The largest q whose bit size keeps 200^2 * bits(q) within the cap.
+    (("gl", "ratio", "--nmax", "200", "--q"), (1 << MAX_RATIO_BITS // 200**2) - 1),
+]
+PLANCHEREL_CAPS = [(10**9, 1), (MAX_PLANCHEREL_N + 1, 1), (1000, MAX_PLANCHEREL_CELLS // 1000 + 1)]
+KIRILLOV_CAP_ALGS = ["ut4", "heis3"]
+KIRILLOV_LARGE_PRIMES = ["257", str(2**61 - 1)]
+
+# Inputs each command refuses with exit 3, by command path.  gl census has
+# none: its q only enters a few polynomials of degree <= 4, and a q too
+# large to print already exits 2.
+_OVER_SWEEP = str(MAX_SWEEP_N + 1)
+REFUSALS = {
+    ("sym", "sweep"): [("--n", _OVER_SWEEP)],
+    ("sym", "hist"): [("--n", _OVER_SWEEP, "--bins", "10"), ("--n", "10", "--bins", str(MAX_HIST_BINS + 1))],
+    ("sym", "angle"): [("--nmax", _OVER_SWEEP)],
+    ("sym", "intervals"): [("--n", _OVER_SWEEP, "--alpha", "0.3", "--beta", "0.8")],
+    ("sym", "layers"): [("--n", _OVER_SWEEP)],
+    ("sym", "maxdim"): [("--nmax", _OVER_SWEEP)],
+    ("sym", "plancherel"): [("--n", str(n), "--count", str(c), "--seed", "1") for n, c in PLANCHEREL_CAPS],
+    ("kirillov",): [("--alg", alg, "--p", "251") for alg in KIRILLOV_CAP_ALGS]
+    + [("--alg", "heis3", "--p", p) for p in KIRILLOV_LARGE_PRIMES],
+}
+for _argv, _cap in GL_CAPS:
+    REFUSALS.setdefault(_argv[:2], []).append((*_argv[2:], str(_cap + 1)))
+
+
 class TestExitCodes:
     def test_unknown_subcommand(self, capsys):
         code, _, err = run_cli(capsys, "sym", "frobnicate")
@@ -99,24 +131,23 @@ class TestExitCodes:
         code, _, err = run_cli(capsys, "sym", "sweep", "--n", "60")
         assert code == 3 and "cap" in err
 
-    def test_cap_flag_lowers_and_raises(self, capsys):
-        code, _, _ = run_cli(capsys, "sym", "sweep", "--n", "12", "--cap", "10")
-        assert code == 3
-        code, out, _ = run_cli(capsys, "sym", "sweep", "--n", "12", "--cap", "12")
-        assert code == 0 and len(parse_csv(out)[1]) == partition_count(12)
+    def test_cap_flag_is_usage_error(self, capsys):
+        # The sweep cap is fixed; there is no flag to lower or raise it.
+        code, out, err = run_cli(capsys, "sym", "sweep", "--n", "12", "--cap", "12")
+        assert code == 2 and out == "" and "--cap" in err
 
     def test_kirillov_bad_characteristic(self, capsys):
         code, _, err = run_cli(capsys, "kirillov", "--alg", "heis3", "--p", "2")
         assert code == 2 and "p > 2" in err
 
-    @pytest.mark.parametrize("alg", ["ut4", "heis3"])
+    @pytest.mark.parametrize("alg", KIRILLOV_CAP_ALGS)
     def test_kirillov_state_cap_is_exit_3(self, capsys, alg):
         start = time.monotonic()
         code, out, err = run_cli(capsys, "kirillov", "--alg", alg, "--p", "251")
         assert code == 3 and out == "" and "states" in err
         assert time.monotonic() - start < 5.0
 
-    @pytest.mark.parametrize("p", ["257", str(2**61 - 1)])
+    @pytest.mark.parametrize("p", KIRILLOV_LARGE_PRIMES)
     def test_kirillov_large_prime_is_exit_3(self, capsys, p):
         # Both are prime; the state cap refuses them before any trial division.
         start = time.monotonic()
@@ -124,18 +155,7 @@ class TestExitCodes:
         assert code == 3 and out == "" and "states" in err
         assert time.monotonic() - start < 5.0
 
-    @pytest.mark.parametrize(
-        "argv, cap",
-        [
-            (("gl", "classes", "--nmax"), MAX_CLASS_COUNT_N),
-            (("gl", "ratio", "--q", "2", "--nmax"), MAX_CLASS_COUNT_N),
-            (("gl", "gow", "--nmax"), MAX_POLY_N),
-            (("gl", "order", "--nmax"), MAX_POLY_N),
-            (("gl", "gauss", "--order"), MAX_GAUSS_ORDER),
-            # The largest q whose bit size keeps 200^2 * bits(q) within the cap.
-            (("gl", "ratio", "--nmax", "200", "--q"), (1 << MAX_RATIO_BITS // 200**2) - 1),
-        ],
-    )
+    @pytest.mark.parametrize("argv, cap", GL_CAPS)
     def test_gl_size_cap_is_exit_3(self, capsys, argv, cap):
         start = time.monotonic()
         code, out, err = run_cli(capsys, *argv, str(cap + 1))
@@ -156,10 +176,7 @@ class TestExitCodes:
         code, out, _ = run_cli(capsys, *argv)
         assert code == 0 and len(parse_csv(out)[1]) == rows
 
-    @pytest.mark.parametrize(
-        "n, count",
-        [(10**9, 1), (MAX_PLANCHEREL_N + 1, 1), (1000, MAX_PLANCHEREL_CELLS // 1000 + 1)],
-    )
+    @pytest.mark.parametrize("n, count", PLANCHEREL_CAPS)
     def test_plancherel_size_cap_is_exit_3(self, capsys, n, count):
         start = time.monotonic()
         code, out, err = run_cli(capsys, "sym", "plancherel", "--n", str(n), "--count", str(count), "--seed", "1")
@@ -169,6 +186,22 @@ class TestExitCodes:
     def test_bad_parameter(self, capsys):
         code, _, err = run_cli(capsys, "sym", "intervals", "--n", "5", "--alpha", "0.9", "--beta", "0.1")
         assert code == 2 and err.strip()
+
+    def test_every_command_refuses_oversize_input(self, capsys):
+        refusals = dict(REFUSALS)
+        for cmd in cli._COMMANDS:
+            if cmd.path == ("gl", "census"):
+                continue
+            argvs = refusals.pop(cmd.path, None)
+            assert argvs, f"no exit-3 case for {' '.join(cmd.path)}"
+            for argv in argvs:
+                start = time.monotonic()
+                code, out, err = run_cli(capsys, *cmd.path, *argv)
+                elapsed = time.monotonic() - start
+                assert (code, out) == (3, ""), argv
+                assert err.startswith("repstat: ") and "cap" in err, err
+                assert elapsed < 1.0, (argv, elapsed)
+        assert not refusals, f"cases for commands that do not exist: {sorted(refusals)}"
 
 
 class TestTables:
@@ -297,5 +330,5 @@ class TestGolden:
 
         monkeypatch.setattr(cli, "sweep", patched)
         code, out, _ = run_cli(capsys, "sym", "sweep", "--n", "4")
-        assert code == 0 and calls == [(4, DEFAULT_SWEEP_CAP)]
+        assert code == 0 and calls == [(4,)]
         assert len(parse_csv(out)[1]) == partition_count(4)

@@ -22,6 +22,7 @@ from repstat.kirillov import (
     MAX_STATES,
     UT4,
     UnsupportedCharacteristicError,
+    _build_strictly_upper,
     _even_p_power_root,
     check_prime,
     coadjoint_orbits,
@@ -46,6 +47,12 @@ class TestAlgebras:
         assert HEIS3.dim == 3 and HEIS3.nilpotency_class == 2 and HEIS3.derived_dim == 1
         assert UT4.dim == 6 and UT4.nilpotency_class == 3 and UT4.derived_dim == 3
         assert set(ALGEBRAS) == {"heis3", "ut4"}
+
+    @pytest.mark.parametrize("m, dim, nilpotency_class, derived_dim", [(5, 10, 4, 6), (6, 15, 5, 10)])
+    def test_larger_unitriangular(self, m, dim, nilpotency_class, derived_dim):
+        # ut_m has class m - 1, and its derived algebra is every entry off the first superdiagonal.
+        alg = _build_strictly_upper(f"ut{m}", m)
+        assert (alg.dim, alg.nilpotency_class, alg.derived_dim) == (dim, nilpotency_class, derived_dim)
 
     def test_heis3_bracket(self):
         # [E12, E23] = E13 is the only nonzero basis bracket.
@@ -202,26 +209,17 @@ class TestGuards:
         assert out.stdout.strip() == "raised", out.stderr
 
 
-@pytest.fixture
-def fresh_caches():
-    coadjoint_orbits.cache_clear()
-    conjugacy_classes.cache_clear()
-    yield
-    coadjoint_orbits.cache_clear()
-    conjugacy_classes.cache_clear()
-
-
 class TestRankIntegrity:
     """Each check in the rank engine and the report fires on a corrupted helper."""
 
-    def test_inexact_orbit_count(self, monkeypatch, fresh_caches):
+    def test_inexact_orbit_count(self, monkeypatch):
         real = kirillov._rank_mod_p
         monkeypatch.setattr(kirillov, "_rank_mod_p", lambda rows, p: real(rows, p) + 1)
         # heis3 has p^3 - p^2 functionals of rank 2, not a multiple of p^3.
         with pytest.raises(IntegrityError, match="do not split"):
             coadjoint_orbits(HEIS3, 5)
 
-    def test_sizes_must_partition_p_dim(self, monkeypatch, fresh_caches):
+    def test_sizes_must_partition_p_dim(self, monkeypatch):
         real = kirillov._torus_representatives
 
         def drop_zero_vector(alg, p):
@@ -234,9 +232,9 @@ class TestRankIntegrity:
             with pytest.raises(IntegrityError, match="sum to 124, not 5"):
                 engine(HEIS3, 5)
 
-    def test_orbits_must_equal_classes(self, monkeypatch, fresh_caches):
-        coadjoint_orbits(HEIS3, 5)
-        monkeypatch.setattr(kirillov, "_rank_mod_p", lambda rows, p: 0)
+    def test_orbits_must_equal_classes(self, monkeypatch):
+        # heis3 at p = 5 has 29 of each; make every class a singleton.
+        monkeypatch.setattr(kirillov, "conjugacy_classes", lambda alg, p: (1,) * p**alg.dim)
         with pytest.raises(IntegrityError, match="29 coadjoint orbits but 125 conjugacy classes"):
             kirillov_report(HEIS3, 5)
 

@@ -19,6 +19,7 @@ from repstat.partitions import (
     Partition, conjugate, enumerate_partitions, hook_lengths, partition_count, to_frequency,
 )
 from repstat.symstats import (
+    MAX_HIST_BINS,
     CapExceededError,
     IntegrityError,
     _sweep_records,
@@ -170,8 +171,6 @@ class TestSweep:
         with pytest.raises(CapExceededError) as err:
             list(sweep(51))
         assert "50" in str(err.value)
-        with pytest.raises(CapExceededError):
-            list(sweep(13, cap=12))
 
     def test_n20_length_and_identity(self):
         recs = list(sweep(20))
@@ -488,6 +487,16 @@ class TestHistogram:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             histogram([], 3)
+
+    def test_bins_cap(self):
+        assert len(histogram([0.0, 1.0], MAX_HIST_BINS).counts) == MAX_HIST_BINS
+
+        def values():
+            raise AssertionError("values consumed before the bins check")
+            yield
+
+        with pytest.raises(CapExceededError, match="bins=10001 exceeds the cap 10000"):
+            histogram(values(), MAX_HIST_BINS + 1)
 
     def test_edges_strictly_increasing(self):
         for bins in (1, 3, 7):
