@@ -18,7 +18,6 @@ import io
 import json
 import sys
 from collections import Counter
-from dataclasses import asdict
 from fractions import Fraction
 from typing import Callable, NamedTuple
 
@@ -102,10 +101,12 @@ def _emit(args) -> str:
     return json.dumps(payload, indent=2) + "\n"
 
 
-def _sized_range(nmax: int, cap: int) -> range:
-    """1..nmax, refusing an nmax above cap before any row is computed."""
-    _check_cap(nmax, cap, "nmax")
-    return range(1, nmax + 1)
+def _sized_range(size: int, cap: int, what: str = "nmax") -> range:
+    """1..size, refusing a size below 1 or above cap before any row is computed."""
+    if size < 1:
+        raise ValueError(f"{what} must be at least 1, got {size}")
+    _check_cap(size, cap, what)
+    return range(1, size + 1)
 
 
 def _poly_rows(pairs):
@@ -114,14 +115,14 @@ def _poly_rows(pairs):
 
 def _hist_rows(a):
     value = {"dim": lambda r: float(r.dim), "dimsq": lambda r: r.log_dim_sq, "class": lambda r: r.log_class}[a.what]
-    hist = histogram((value(r) for r in sweep(a.n)), a.bins)
-    return [(hist.bin_edges[i], hist.bin_edges[i + 1], c) for i, c in enumerate(hist.counts)]
+    edges, counts = histogram((value(r) for r in sweep(a.n)), a.bins)
+    return list(zip(edges, edges[1:], counts))
 
 
 def _intervals_rows(a):
     c = interval_counts(a.n, a.alpha, a.beta)
     ratio = c.count_dim_sq / c.count_class if c.count_class else None
-    return [(c.n, c.alpha, c.beta, c.count_dim_sq, c.count_class, ratio)]
+    return [(*c, ratio)]
 
 
 def _maxdim_rows(a):
@@ -175,7 +176,7 @@ def _kirillov_rows(a):
     rows.append(("match_kirillov", None, None, report.match_kirillov))
     rows.append(("match_naive", None, None, report.match_naive))
     # Every report field as a JSON cell, except that p stays a number.
-    extra = {"report": {k: _json_cell(v) for k, v in asdict(report).items()} | {"p": report.p}}
+    extra = {"report": {k: _json_cell(v) for k, v in report._asdict().items()} | {"p": report.p}}
     return rows, extra
 
 
@@ -188,7 +189,7 @@ _COMMANDS = (
     _Command(
         ("sym", "sweep"), "per-partition dimensions and class sizes", {"--n": _INT},
         ("partition", "dim", "class_size", "ln_dim_sq", "ln_class"),
-        lambda a: [(r.lam.serialize(), r.dim, r.class_size, r.log_dim_sq, r.log_class) for r in sweep(a.n)],
+        lambda a: [(r.lam.serialize(), *r[1:]) for r in sweep(a.n)],
     ),
     _Command(
         ("sym", "hist"), "histogram of dims or log data",
@@ -198,10 +199,7 @@ _COMMANDS = (
     _Command(
         ("sym", "angle"), "cosine against the constant vector", {"--nmax": _INT},
         ("n", "sum_dim", "sum_dim_sq", "count", "cos_sq", "log_ratio", "predicted_log"),
-        lambda a: [
-            (r.n, r.sum_dim, r.sum_dim_sq, r.count, r.cos_sq, r.log_ratio, r.predicted_log)
-            for r in map(angle_report, _sized_range(a.nmax, MAX_SWEEP_N))
-        ],
+        lambda a: list(map(angle_report, _sized_range(a.nmax, MAX_SWEEP_N))),
     ),
     _Command(
         ("sym", "intervals"), "window counts of log data", {"--n": _INT, "--alpha": _FLOAT, "--beta": _FLOAT},
@@ -210,7 +208,7 @@ _COMMANDS = (
     _Command(
         ("sym", "layers"), "log sums grouped by largest part", {"--n": _INT},
         ("k", "sum_ln_dim_sq", "sum_ln_class"),
-        lambda a: [(k, *layer_sums(a.n, k)) for k in range(1, a.n + 1)],
+        lambda a: [(k, *layer_sums(a.n, k)) for k in _sized_range(a.n, MAX_SWEEP_N, "n")],
     ),
     _Command(
         ("sym", "maxdim"), "max dimension and related curves", {"--nmax": _INT},

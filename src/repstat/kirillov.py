@@ -23,9 +23,9 @@ sparse BFS over all p^dim states) are the oracles in tests/kirillov_oracles.py.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
 from math import isqrt
+from typing import NamedTuple
 
 from .symstats import CapExceededError, IntegrityError
 
@@ -50,8 +50,7 @@ def _bracket_entries(a: tuple[int, int], b: tuple[int, int]):
     return out
 
 
-@dataclass(frozen=True)
-class NilAlgebra:
+class NilAlgebra(NamedTuple):
     """Strictly upper triangular matrices of a fixed size, as a Lie algebra.
 
     Basis vectors are the elementary matrices E_(i,j) for i < j, listed in
@@ -288,8 +287,7 @@ def conjugacy_classes(alg: NilAlgebra, p: int) -> tuple[int, ...]:
     return _sizes_from_ranks(alg, p, entries)
 
 
-@dataclass(frozen=True)
-class OrbitReport:
+class OrbitReport(NamedTuple):
     algebra: str
     p: int
     group_order: int

@@ -8,9 +8,8 @@ driven by the enumeration order fixed here (reverse-lexicographic, from
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import lt
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 
 class Partition:
@@ -65,8 +64,7 @@ def parse_partition(text: str) -> Partition:
     return Partition(int(v) for v in body.split(","))
 
 
-@dataclass(frozen=True)
-class FrequencyForm:
+class FrequencyForm(NamedTuple):
     """Multiplicity encoding: part value i appears freq[i] times."""
 
     freq: tuple[tuple[int, int], ...]  # (part, multiplicity), part ascending

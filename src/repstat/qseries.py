@@ -13,7 +13,6 @@ a growing table rather than from a series product.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -24,11 +23,14 @@ from .symstats import IntegrityError, _check_cap
 # 0.5 s, and gauss_identity_check(2000) about 0.6 s.  `gl ratio` also
 # bounds nmax^2 * bits(q), the bit size of q^(nmax^2) that its exact
 # ratios grow with: --nmax 200 passes up to q = 7 (about 1.4 s) and
-# refuses q = 97 (about 5.7 s).
+# refuses q = 97 (about 5.7 s).  `gl census` bounds the bit size of q:
+# its largest cells are about q^4, and at 3000 bits those print in at most
+# 3,613 digits, below Python's default 4,300-digit int-to-str limit.
 MAX_CLASS_COUNT_N = 200
 MAX_POLY_N = 60
 MAX_GAUSS_ORDER = 2000
 MAX_RATIO_BITS = 2**17
+MAX_CENSUS_Q_BITS = 3000
 
 
 class QPolynomial:
@@ -385,8 +387,7 @@ _CLASS_SIZE = (
 )
 
 
-@dataclass(frozen=True)
-class Gl2Census:
+class Gl2Census(NamedTuple):
     q: int
     group_order: int
     rep_rows: tuple[tuple[int, int], ...]  # (count, dimension)
@@ -409,6 +410,7 @@ def gl2_census(q: int) -> Gl2Census:
     """
     if q < 2:
         raise ValueError(f"q must be at least 2, got {q}")
+    _check_cap(q.bit_length(), MAX_CENSUS_Q_BITS, "bits(q)")
     order_poly = gl_order(2)
     order = order_poly.evaluate(q)
     rep_rows = tuple(
@@ -459,8 +461,7 @@ def census_class_count_polynomial() -> QPolynomial:
     return QPolynomial(v // 2 for v in doubled.coeffs)
 
 
-@dataclass(frozen=True)
-class LeadingTermReport:
+class LeadingTermReport(NamedTuple):
     """SL_2 half-discrete-series dimensions vs PGL_2 order-2 class sizes.
 
     Each pair (2*dim^2, class size) shares the leading term q^2/2, so the

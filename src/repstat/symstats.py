@@ -22,10 +22,10 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial, perm
+from typing import NamedTuple
 
 from .partitions import Partition, _partition_tuples, partition_count
 
@@ -45,8 +45,9 @@ class CapExceededError(RuntimeError):
     """A request exceeded one of the library's fixed size caps.
 
     Every cap is a module constant (MAX_SWEEP_N, MAX_POLY_N, MAX_STATES,
-    ...); none can be raised by the caller.  value is the size asked for,
-    cap the limit it exceeded, and message says which input was too large.
+    MAX_CENSUS_Q_BITS, ...); none can be raised by the caller.  value is
+    the size asked for, cap the limit it exceeded, and message says which
+    input was too large.
     """
 
     def __init__(self, value: int, cap: int, message: str):
@@ -146,7 +147,6 @@ def class_size(lam: Partition) -> int:
     return factorial(lam.n) // _class_denominator(lam.parts)
 
 
-@lru_cache(maxsize=None)
 def involution_count(n: int) -> int:
     """Number of involutions in S_n (elements with s^2 = 1).
 
@@ -167,8 +167,7 @@ def involution_count(n: int) -> int:
     return total
 
 
-@dataclass(frozen=True)
-class DimRecord:
+class DimRecord(NamedTuple):
     lam: Partition
     dim: int
     class_size: int
@@ -236,9 +235,11 @@ def plancherel_mass(lam: Partition) -> Fraction:
     return Fraction(d * d, factorial(lam.n))
 
 
-@dataclass(frozen=True)
-class AngleReport:
-    """Squared cosine between the dimension vector and the all-ones vector."""
+class AngleReport(NamedTuple):
+    """Squared cosine between the dimension vector and the all-ones vector.
+
+    The field ``count`` shadows the ``tuple.count`` method on instances.
+    """
 
     n: int
     sum_dim: int  # = involution count
@@ -308,8 +309,7 @@ def asymptotic_estimates(n: int) -> tuple[float, float, float, float]:
     return log_alpha, log_beta, log_gamma, log_avg
 
 
-@dataclass(frozen=True)
-class IntervalCounts:
+class IntervalCounts(NamedTuple):
     """How many ln(dim^2) resp. ln(class size) values land in a window.
 
     The window is [alpha * n ln n, beta * n ln n], closed at both ends
@@ -379,8 +379,7 @@ def vk_ratio(n: int) -> float:
     return (ln_big(factorial(n)) - 2.0 * ln_big(m)) / math.sqrt(n)
 
 
-@dataclass(frozen=True)
-class Histogram:
+class Histogram(NamedTuple):
     bin_edges: tuple[float, ...]  # length bins+1, strictly increasing
     counts: tuple[int, ...]  # length bins, sums to the input length
 

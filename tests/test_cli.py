@@ -11,7 +11,8 @@ import pytest
 from repstat import cli
 from repstat.cli import main
 from repstat.partitions import partition_count
-from repstat.qseries import MAX_CLASS_COUNT_N, MAX_GAUSS_ORDER, MAX_POLY_N, MAX_RATIO_BITS
+from repstat.kirillov import OrbitReport
+from repstat.qseries import MAX_CENSUS_Q_BITS, MAX_CLASS_COUNT_N, MAX_GAUSS_ORDER, MAX_POLY_N, MAX_RATIO_BITS
 from repstat.rsk import MAX_PLANCHEREL_CELLS, MAX_PLANCHEREL_N
 from repstat.symstats import MAX_HIST_BINS, MAX_SWEEP_N
 
@@ -102,9 +103,7 @@ PLANCHEREL_CAPS = [(10**9, 1), (MAX_PLANCHEREL_N + 1, 1), (1000, MAX_PLANCHEREL_
 KIRILLOV_CAP_ALGS = ["ut4", "heis3"]
 KIRILLOV_LARGE_PRIMES = ["257", str(2**61 - 1)]
 
-# Inputs each command refuses with exit 3, by command path.  gl census has
-# none: its q only enters a few polynomials of degree <= 4, and a q too
-# large to print already exits 2.
+# Inputs each command refuses with exit 3, by command path.
 _OVER_SWEEP = str(MAX_SWEEP_N + 1)
 REFUSALS = {
     ("sym", "sweep"): [("--n", _OVER_SWEEP)],
@@ -114,6 +113,7 @@ REFUSALS = {
     ("sym", "layers"): [("--n", _OVER_SWEEP)],
     ("sym", "maxdim"): [("--nmax", _OVER_SWEEP)],
     ("sym", "plancherel"): [("--n", str(n), "--count", str(c), "--seed", "1") for n, c in PLANCHEREL_CAPS],
+    ("gl", "census"): [("--q", str(1 << MAX_CENSUS_Q_BITS))],
     ("kirillov",): [("--alg", alg, "--p", "251") for alg in KIRILLOV_CAP_ALGS]
     + [("--alg", "heis3", "--p", p) for p in KIRILLOV_LARGE_PRIMES],
 }
@@ -183,6 +183,28 @@ class TestExitCodes:
         assert code == 3 and out == "" and "exceeds the cap" in err
         assert time.monotonic() - start < 1.0
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("sym", "sweep", "--n", "0"),
+            ("sym", "layers", "--n", "0"),
+            ("sym", "maxdim", "--nmax", "-3"),
+            ("sym", "angle", "--nmax", "0"),
+            ("gl", "gow", "--nmax", "0"),
+            ("gl", "order", "--nmax", "-1"),
+            ("gl", "ratio", "--nmax", "0", "--q", "2"),
+            ("gl", "classes", "--nmax", "-1"),
+        ],
+    )
+    def test_size_below_one_is_exit_2(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "") and "must be" in err
+
+    def test_census_largest_q_prints(self, capsys):
+        # Every cell at the largest q stays below the int-to-str digit limit.
+        code, out, err = run_cli(capsys, "gl", "census", "--q", str((1 << MAX_CENSUS_Q_BITS) - 1))
+        assert (code, err) == (0, "") and parse_csv(out)[1][-1][-1] == "true"
+
     def test_bad_parameter(self, capsys):
         code, _, err = run_cli(capsys, "sym", "intervals", "--n", "5", "--alpha", "0.9", "--beta", "0.1")
         assert code == 2 and err.strip()
@@ -190,8 +212,6 @@ class TestExitCodes:
     def test_every_command_refuses_oversize_input(self, capsys):
         refusals = dict(REFUSALS)
         for cmd in cli._COMMANDS:
-            if cmd.path == ("gl", "census"):
-                continue
             argvs = refusals.pop(cmd.path, None)
             assert argvs, f"no exit-3 case for {' '.join(cmd.path)}"
             for argv in argvs:
@@ -251,6 +271,8 @@ class TestTables:
         _, out, _ = run_cli(capsys, "gl", "order", "--nmax", "2")
         _, rows = parse_csv(out)
         assert rows[1][1] == "0 + 1*q + -1*q^2 + -1*q^3 + 1*q^4"
+        _, out, _ = run_cli(capsys, "gl", "classes", "--nmax", "0")
+        assert parse_csv(out)[1] == [["0", "1", "1"]]  # C_0 = 1
 
     def test_gl_ratio(self, capsys):
         _, out, _ = run_cli(capsys, "gl", "ratio", "--nmax", "6", "--q", "2")
@@ -281,6 +303,7 @@ class TestTables:
         assert report["match_kirillov"] is True
         assert report["match_naive"] is False
         assert sorted(set(report["orbit_sizes"])) == ["1", "9"]
+        assert list(report) == list(OrbitReport._fields)
 
 
 # SHA-256 of stdout for one small invocation of every command, in CSV and

@@ -345,6 +345,8 @@ class TestGl2Census:
     def test_validation(self):
         with pytest.raises(ValueError):
             gl2_census(1)
+        with pytest.raises(CapExceededError, match="bits"):
+            gl2_census(1 << qseries.MAX_CENSUS_Q_BITS)
 
 
 class TestLeadingTerms:
