@@ -110,7 +110,7 @@ def _sized_range(size: int, cap: int, what: str = "nmax") -> range:
 
 
 def _poly_rows(pairs):
-    return [(n, poly.serialize(), [str(c) for c in poly.coeffs]) for n, poly in pairs]
+    return [(n, poly.serialize(), poly.coeffs) for n, poly in pairs]
 
 
 def _hist_rows(a):
@@ -180,7 +180,16 @@ def _kirillov_rows(a):
     return rows, extra
 
 
-_INT = {"type": int, "required": True}
+def _int(text: str) -> int:
+    """int(text), with a diagnostic that quotes at most a prefix of an inconvertible value."""
+    try:
+        return int(text)
+    except ValueError:
+        shown = repr(text) if len(text) <= 64 else f"{text[:64]!r}... ({len(text)} characters)"
+        raise argparse.ArgumentTypeError(f"invalid int value: {shown}") from None
+
+
+_INT = {"type": _int, "required": True}
 _FLOAT = {"type": float, "required": True}
 _POLY_COLUMNS = ("n", "polynomial", "coeffs")
 _TOPICS = {"sym": "symmetric group tables", "gl": "GL_n(F_q) polynomial tables"}

@@ -9,6 +9,11 @@ that correspondence over every functional, and also checks that the cruder
 hope "d^2 multiset == conjugacy class size multiset" fails already for the
 Heisenberg group.
 
+Each algebra is a table of structure constants: triples (a, b, k) with
+a < b, meaning [e_a, e_b] = e_k for the elementary-matrix basis, since
+[E_hi, E_ij] = E_hj is the only nonzero basis bracket.  The Jacobi
+identity and nilpotency are checked on the table when it is built.
+
 Both tables come from ranks, not from closing orbits.  N = 1 + J is an
 algebra group, and for those (Isaacs, "Characters of groups associated
 with finite algebras", J. Algebra 177, 1995) the coadjoint orbit of f has
@@ -39,93 +44,75 @@ class UnsupportedCharacteristicError(ValueError):
     """The orbit method needs p larger than the nilpotency class."""
 
 
-def _bracket_entries(a: tuple[int, int], b: tuple[int, int]):
-    """Commutator [E_a, E_b] of elementary matrices as {position: coeff}."""
-    (i, j), (k, l) = a, b
-    out: dict[tuple[int, int], int] = {}
-    if j == k:
-        out[(i, l)] = out.get((i, l), 0) + 1
-    if l == i:
-        out[(k, j)] = out.get((k, j), 0) - 1
-    return out
-
-
 class NilAlgebra(NamedTuple):
     """Strictly upper triangular matrices of a fixed size, as a Lie algebra.
 
     Basis vectors are the elementary matrices E_(i,j) for i < j, listed in
     lexicographic position order; coordinates of an algebra element are
-    simply its strictly-upper entries.  Structure constants are integers,
-    reduced mod p only at use time.
+    simply its strictly-upper entries.  brackets is the table of structure
+    constants: a sorted tuple of triples (a, b, k) with a < b, each meaning
+    [e_a, e_b] = e_k.  Every basis bracket of a pair a < b that is not
+    listed is zero.  The constants are integers, reduced mod p only at use
+    time.
     """
 
     name: str
     matrix_size: int
     dim: int
     positions: tuple[tuple[int, int], ...]
-    brackets: tuple[tuple[tuple[int, int], tuple[tuple[int, int], ...]], ...]
+    brackets: tuple[tuple[int, int, int], ...]
     nilpotency_class: int
     derived_dim: int
 
 
-def _build_strictly_upper(name: str, m: int) -> NilAlgebra:
-    positions = tuple((i, j) for i in range(m) for j in range(i + 1, m))
-    index = {pos: k for k, pos in enumerate(positions)}
+def _nil_algebra(name: str, m: int, positions, brackets) -> NilAlgebra:
+    """Check a bracket table for Jacobi and nilpotency, and derive its invariants."""
     dim = len(positions)
-
-    def bracket_vec(u: dict[int, int], v: dict[int, int]) -> dict[int, int]:
-        out: dict[int, int] = {}
-        for a, ca in u.items():
-            for b, cb in v.items():
-                for pos, c in _bracket_entries(positions[a], positions[b]).items():
-                    k = index[pos]
-                    out[k] = out.get(k, 0) + ca * cb * c
-        return {k: c for k, c in out.items() if c}
-
-    basis = [{k: 1} for k in range(dim)]
-    brackets = []
-    for a in range(dim):
-        for b in range(a + 1, dim):
-            vec = bracket_vec(basis[a], basis[b])
-            if vec:
-                brackets.append(((a, b), tuple(sorted(vec.items()))))
+    # [e_a, e_b] = sign * e_k as table[a, b] = (k, sign), for both orders.
+    table = {}
+    for a, b, k in brackets:
+        table[a, b] = (k, 1)
+        table[b, a] = (k, -1)
 
     # Jacobi identity over the integers, hence over every F_p at once.
-    for a in range(dim):
-        for b in range(dim):
-            for c in range(dim):
-                acc: dict[int, int] = {}
-                for x, y, z in ((a, b, c), (b, c, a), (c, a, b)):
-                    for k, v in bracket_vec(basis[x], bracket_vec(basis[y], basis[z])).items():
-                        acc[k] = acc.get(k, 0) + v
-                if any(acc.values()):
-                    raise IntegrityError(f"Jacobi identity fails for {name}")
+    for x, y, z in product(range(dim), repeat=3):
+        acc: dict[int, int] = {}
+        for u, v, w in ((x, y, z), (y, z, x), (z, x, y)):
+            inner = table.get((v, w))
+            outer = inner and table.get((u, inner[0]))
+            if outer:
+                acc[outer[0]] = acc.get(outer[0], 0) + inner[1] * outer[1]
+        if any(acc.values()):
+            raise IntegrityError(f"Jacobi identity fails for {name}")
 
-    # Lower central series by index spans (each basis bracket lands on a
-    # single basis vector here, so spans are plain index sets).
-    for pair, vec in brackets:
-        if len(vec) != 1:
-            raise IntegrityError(f"{name}: bracket of basis pair {pair} is not a single basis vector")
+    # Lower central series by index spans: each basis bracket is a single
+    # basis vector, so [n, layer] is spanned by the brackets that meet layer.
     layer = set(range(dim))
     series = [layer]
     while layer:
-        # [n, layer] is spanned by the brackets of basis pairs that meet layer.
-        nxt = {k for (a, b), vec in brackets for k, _ in vec if a in layer or b in layer}
+        nxt = {k for (_, b), (k, _) in table.items() if b in layer}
         series.append(nxt)
         if nxt == layer:
             raise IntegrityError(f"{name} is not nilpotent")
         layer = nxt
-    nilpotency_class = len(series) - 1
-    derived_dim = len(series[1])
     return NilAlgebra(
         name=name,
         matrix_size=m,
         dim=dim,
         positions=positions,
-        brackets=tuple(brackets),
-        nilpotency_class=nilpotency_class,
-        derived_dim=derived_dim,
+        brackets=brackets,
+        nilpotency_class=len(series) - 1,
+        derived_dim=len(series[1]),
     )
+
+
+def _build_strictly_upper(name: str, m: int) -> NilAlgebra:
+    positions = tuple((i, j) for i in range(m) for j in range(i + 1, m))
+    index = {pos: k for k, pos in enumerate(positions)}
+    # [E_hi, E_ij] = E_hj is the only nonzero bracket of elementary
+    # matrices, and (h, i) precedes (i, j) in position order.
+    brackets = sorted((index[h, i], index[i, j], index[h, j]) for h, j in positions for i in range(h + 1, j))
+    return _nil_algebra(name, m, positions, tuple(brackets))
 
 
 HEIS3 = _build_strictly_upper("heis3", 3)
@@ -258,15 +245,12 @@ def coadjoint_orbits(alg: NilAlgebra, p: int) -> tuple[int, ...]:
     """Orbit sizes of the coadjoint action on all p^dim functionals.
 
     The orbit of f has p^rank(B_f) elements, where B_f is the form
-    B_f(x, y) = f([x, y]): B_f[a][b] = sum_k f_k c^k_ab with the structure
-    constants c^k_ab of the algebra.  The sizes partition p^dim.
+    B_f(x, y) = f([x, y]): each triple (a, b, k) of the bracket table sets
+    B_f[a][b] = f_k and B_f[b][a] = -f_k.  The sizes partition p^dim.
     """
     _check_states(p, alg.dim)
     check_prime(alg, p)
-    entries = []
-    for (a, b), vec in alg.brackets:
-        for k, c in vec:
-            entries += [(a, b, k, c), (b, a, k, -c)]
+    entries = [e for a, b, k in alg.brackets for e in ((a, b, k, 1), (b, a, k, -1))]
     return _sizes_from_ranks(alg, p, entries)
 
 
@@ -275,15 +259,13 @@ def conjugacy_classes(alg: NilAlgebra, p: int) -> tuple[int, ...]:
 
     The element I + X is enumerated by the strictly-upper coordinates of X.
     Its centralizer is I plus the kernel of ad_X = [X, -], so its class
-    has p^rank(ad_X) elements; column b of ad_X is sum_a X_a [e_a, e_b].
-    The sizes partition p^dim.
+    has p^rank(ad_X) elements; column b of ad_X is sum_a X_a [e_a, e_b],
+    so each triple (a, b, k) adds X_a to ad_X[k][b] and -X_b to
+    ad_X[k][a].  The sizes partition p^dim.
     """
     _check_states(p, alg.dim)
     check_prime(alg, p)
-    entries = []
-    for (a, b), vec in alg.brackets:
-        for k, c in vec:
-            entries += [(k, b, a, c), (k, a, b, -c)]
+    entries = [e for a, b, k in alg.brackets for e in ((k, b, a, 1), (k, a, b, -1))]
     return _sizes_from_ranks(alg, p, entries)
 
 

@@ -205,6 +205,16 @@ class TestExitCodes:
         code, out, err = run_cli(capsys, "gl", "census", "--q", str((1 << MAX_CENSUS_Q_BITS) - 1))
         assert (code, err) == (0, "") and parse_csv(out)[1][-1][-1] == "true"
 
+    def test_invalid_int_quoted_whole(self, capsys):
+        code, out, err = run_cli(capsys, "sym", "sweep", "--n", "abc")
+        assert (code, out, err) == (2, "", "repstat: usage error: argument --n: invalid int value: 'abc'\n")
+
+    def test_oversize_int_diagnostic_stays_short(self, capsys):
+        # Past Python's int-conversion digit limit; the diagnostic quotes only a prefix.
+        code, out, err = run_cli(capsys, "gl", "census", "--q", "1" + "0" * 5000)
+        assert (code, out) == (2, "") and err.count("\n") == 1
+        assert len(err.encode()) < 200 and "invalid int value: '1000" in err and "(5001 characters)" in err
+
     def test_bad_parameter(self, capsys):
         code, _, err = run_cli(capsys, "sym", "intervals", "--n", "5", "--alpha", "0.9", "--beta", "0.1")
         assert code == 2 and err.strip()

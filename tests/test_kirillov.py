@@ -10,6 +10,7 @@ import os
 import subprocess
 import sys
 from collections import Counter
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -24,6 +25,7 @@ from repstat.kirillov import (
     UnsupportedCharacteristicError,
     _build_strictly_upper,
     _even_p_power_root,
+    _nil_algebra,
     check_prime,
     coadjoint_orbits,
     conjugacy_classes,
@@ -51,13 +53,30 @@ class TestAlgebras:
     @pytest.mark.parametrize("m, dim, nilpotency_class, derived_dim", [(5, 10, 4, 6), (6, 15, 5, 10)])
     def test_larger_unitriangular(self, m, dim, nilpotency_class, derived_dim):
         # ut_m has class m - 1, and its derived algebra is every entry off the first superdiagonal.
+        # Each nonzero basis bracket [E_hi, E_ij] = E_hj is one choice of h < i < j.
         alg = _build_strictly_upper(f"ut{m}", m)
-        assert (alg.dim, alg.nilpotency_class, alg.derived_dim) == (dim, nilpotency_class, derived_dim)
+        assert (alg.dim, alg.nilpotency_class, alg.derived_dim, len(alg.brackets)) == (
+            dim,
+            nilpotency_class,
+            derived_dim,
+            comb(m, 3),
+        )
 
     def test_heis3_bracket(self):
         # [E12, E23] = E13 is the only nonzero basis bracket.
         assert HEIS3.positions == ((0, 1), (0, 2), (1, 2))
-        assert HEIS3.brackets == (((0, 2), ((1, 1),)),)
+        assert HEIS3.brackets == ((0, 2, 1),)
+
+    def test_broken_table_fails_jacobi(self):
+        # [e_3, [e_0, e_1]] = [e_3, e_2] = -e_0, while the other two terms vanish.
+        positions = ((0, 1), (0, 2), (0, 3), (1, 2))
+        with pytest.raises(IntegrityError, match="Jacobi identity fails for broken"):
+            _nil_algebra("broken", 4, positions, ((0, 1, 2), (2, 3, 0)))
+
+    def test_broken_table_fails_nilpotency(self):
+        # [e_0, e_1] = e_1 satisfies Jacobi, but the lower central series stalls at span(e_1).
+        with pytest.raises(IntegrityError, match="broken is not nilpotent"):
+            _nil_algebra("broken", 2, ((0, 1), (1, 2)), ((0, 1, 1),))
 
 
 class TestExpLog:
