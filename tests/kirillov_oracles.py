@@ -8,23 +8,16 @@ engine the library used before the rank formulas.  The truncated exp/log
 pair lives here too; nothing in the library needs it.
 """
 
+from functools import lru_cache
 from math import factorial
 from operator import mul
 
 from repstat.kirillov import NilAlgebra
 
 
-def _identity(m: int):
-    return tuple(tuple(int(i == j) for j in range(m)) for i in range(m))
-
-
 def _mat_mul(a, b, p: int):
     cols = tuple(zip(*b))
     return tuple(tuple(sum(map(mul, row, col)) % p for col in cols) for row in a)
-
-
-def _mat_add(a, b, scale: int, p: int):
-    return tuple(tuple((x + scale * y) % p for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
 
 
 def _matrix(alg: NilAlgebra, coords, diag: int, p: int):
@@ -40,14 +33,39 @@ def _coords(alg: NilAlgebra, mat) -> tuple[int, ...]:
     return tuple(mat[i][j] for i, j in alg.positions)
 
 
-def _power_series(x, coefs, p: int):
-    """sum_k coefs[k - 1] * x^k over k = 1..len(coefs), for nilpotent x."""
-    acc = tuple(tuple(coefs[0] * v % p for v in row) for row in x)
+@lru_cache(maxsize=4)
+def _series_plan(alg: NilAlgebra, p: int):
+    """Index lists and coefficients for the exp/log series on flat vectors.
+
+    A strictly upper m x m matrix is the flat list of its entries at
+    (i, j), i < j, in row order.  The plan holds the flat index of each
+    algebra coordinate; the (t, a, b) triples with (XY)[t] = sum of
+    X[a] * Y[b]; the index of every cell of the m x m matrix in
+    (0, 1, *flat), which rebuilds I + X; and the exp and log series
+    coefficients 1/k! and (-1)^(k+1)/k mod p for k = 1..m-1.
+    """
+    m = alg.matrix_size
+    upper = [(i, j) for i in range(m) for j in range(i + 1, m)]
+    at = {pos: t for t, pos in enumerate(upper)}
+    coord_index = tuple(at[pos] for pos in alg.positions)
+    triples = tuple((at[i, j], at[i, k], at[k, j]) for i, j in upper for k in range(i + 1, j))
+    cells = tuple(tuple(int(i == j) if i >= j else 2 + at[i, j] for j in range(m)) for i in range(m))
+    exp_coefs = tuple(pow(factorial(k), -1, p) for k in range(1, m))
+    log_coefs = tuple((-1) ** (k + 1) * pow(k, -1, p) for k in range(1, m))
+    return coord_index, triples, cells, exp_coefs, log_coefs
+
+
+def _power_series(x, coefs, triples, p: int):
+    """sum_k coefs[k - 1] * x^k over k = 1..len(coefs) for a flat nilpotent x, mod p."""
+    acc = [coefs[0] * v for v in x]
     power = x
     for c in coefs[1:]:
-        power = _mat_mul(power, x, p)
-        acc = _mat_add(acc, power, c, p)
-    return acc
+        product = [0] * len(x)
+        for t, a, b in triples:
+            product[t] += power[a] * x[b]
+        power = product
+        acc = [s + c * v for s, v in zip(acc, power)]
+    return [v % p for v in acc]
 
 
 def exp_element(coords, alg: NilAlgebra, p: int):
@@ -57,16 +75,21 @@ def exp_element(coords, alg: NilAlgebra, p: int):
     nilpotent of degree at most the matrix size.  p must pass
     `kirillov.check_prime`, which callers check once for a whole sweep.
     """
+    coord_index, triples, cells, coefs, _ = _series_plan(alg, p)
     m = alg.matrix_size
-    coefs = [pow(factorial(k), -1, p) for k in range(1, m)]
-    return _mat_add(_identity(m), _power_series(_matrix(alg, coords, 0, p), coefs, p), 1, p)
+    x = [0] * (m * (m - 1) // 2)
+    for t, v in zip(coord_index, coords):
+        x[t] = v
+    flat = (0, 1, *_power_series(x, coefs, triples, p))
+    return tuple(tuple(flat[c] for c in row) for row in cells)
 
 
 def log_element(mat, alg: NilAlgebra, p: int) -> tuple[int, ...]:
     """Coordinates of log of a unitriangular matrix; inverse of exp_element."""
-    m = alg.matrix_size
-    coefs = [(-1) ** (k + 1) * pow(k, -1, p) for k in range(1, m)]
-    return _coords(alg, _power_series(_mat_add(mat, _identity(m), -1, p), coefs, p))
+    coord_index, triples, _, _, coefs = _series_plan(alg, p)
+    x = [v for i, row in enumerate(mat) for v in row[i + 1 :]]
+    series = _power_series(x, coefs, triples, p)
+    return tuple(series[t] for t in coord_index)
 
 
 def _all_states(dim: int, p: int):

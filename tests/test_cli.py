@@ -341,6 +341,8 @@ GOLDEN = [
     ("sym hist --n 26 --what class --bins 20", "d89a37ab692a31c6a06a67e59ee395ae6f647d6d02c7ad4cf85fb138595ff3b1", "868d34ac46d45200db97d3736b9c8b9be5c4c667df1df486d5b6ccff2ce9ea06"),
     # A size the orbit benchmark does not run, hashed from the BFS engine's output.
     ("kirillov --alg ut4 --p 7", "a22719b7eee4d1b6a1f43464ccafcd8a0a40f6e54c5cdaaa40a3a9631d2f6d35", "1af09403416d922dedeba2feec2234209f866b9eb3b0c5a2adcdc9cdb99f18b6"),
+    # 20 x 999 stream outputs, hashed from the one-draw-per-step shuffle.
+    ("sym plancherel --n 1000 --count 20 --seed 11", "95915ce21c4ab7e3f5948beca238d2ca1889073599067209ec1c74e590aead96", "5418bac6fe27bb0f7eb8d65acb5a6790113021b8f6df4c13a6687ac10c8f72cf"),
 ]
 
 

@@ -11,6 +11,9 @@ from repstat.partitions import Partition, enumerate_partitions
 from repstat.rsk import SplitMix64, random_permutation, rsk_shape, sample_plancherel, substream
 from repstat.symstats import plancherel_mass
 
+TWO64 = 1 << 64
+GAMMA = 0x9E3779B97F4A7C15
+
 
 def lis_length(seq):
     """Oracle: longest increasing subsequence by quadratic DP."""
@@ -20,6 +23,37 @@ def lis_length(seq):
             if seq[j] < seq[i]:
                 best[i] = max(best[i], best[j] + 1)
     return max(best, default=0)
+
+
+def scalar_permutation(n, rng):
+    """Oracle: Fisher-Yates with one rng.below(i + 1) per step."""
+    perm = list(range(1, n + 1))
+    for i in range(n - 1, 0, -1):
+        j = rng.below(i + 1)
+        perm[i], perm[j] = perm[j], perm[i]
+    return perm
+
+
+def _unshift(y, k):
+    """Inverse of z -> z ^ (z >> k) on 64-bit words."""
+    x = y
+    for _ in range(64 // k):
+        x = y ^ (x >> k)
+    return x
+
+
+def unmix(out):
+    """Inverse of the splitmix64 output finalizer."""
+    z = _unshift(out, 31)
+    z = z * pow(0x94D049BB133111EB, -1, TWO64) % TWO64
+    z = _unshift(z, 27)
+    z = z * pow(0xBF58476D1CE4E5B9, -1, TWO64) % TWO64
+    return _unshift(z, 30)
+
+
+def state_before(output, steps):
+    """A state whose steps-th next_u64 output is `output`."""
+    return (unmix(output) - steps * GAMMA) % TWO64
 
 
 class TestRskShape:
@@ -74,6 +108,49 @@ class TestSplitMix:
     def test_below_validates(self):
         with pytest.raises(ValueError):
             SplitMix64(1).below(0)
+
+    @pytest.mark.parametrize("state", [0, 12345, TWO64 - 1, TWO64 - GAMMA, TWO64 - GAMMA - 1, GAMMA])
+    @pytest.mark.parametrize("count", [0, 1, 2, 999])
+    def test_take_equals_next_u64_calls(self, state, count):
+        packed, scalar = SplitMix64(state), SplitMix64(state)
+        assert list(packed.take(count)) == [scalar.next_u64() for _ in range(count)]
+        assert packed._state == scalar._state
+
+    def test_take_validates(self):
+        with pytest.raises(ValueError):
+            SplitMix64(1).take(-1)
+
+    def test_unmix_inverts_the_finalizer(self):
+        for out in (0, 1, TWO64 - 1, 0xE220A8397B1DCDAF):
+            rng = SplitMix64(state_before(out, 1))
+            assert rng.next_u64() == out
+
+
+class TestShuffle:
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 8, 200, 1000])
+    def test_matches_scalar_oracle(self, n):
+        for seed in (0, 7, TWO64 - 1, 0xDEADBEEF):
+            for k in range(25):
+                fast, slow = substream(seed, k), substream(seed, k)
+                assert random_permutation(n, fast) == scalar_permutation(n, slow)
+                assert fast._state == slow._state
+
+    @pytest.mark.parametrize("n, steps", [(3, 1), (10, 8), (2000, 1998)])
+    def test_rejected_draw_reads_past_the_buffer(self, n, steps):
+        # The draw for bound 3 is 2^64 - 1, the one value below() rejects
+        # there (2^64 mod 3 = 1): every later step moves one output on, and
+        # the last comes from beyond the n - 1 outputs of take().
+        start = state_before(TWO64 - 1, steps)
+        fast, slow = SplitMix64(start), SplitMix64(start)
+        assert random_permutation(n, fast) == scalar_permutation(n, slow)
+        assert fast._state == slow._state == (start + n * GAMMA) % TWO64
+
+    def test_top_draw_is_accepted_under_bound_4(self):
+        # 4 divides 2^64, so 2^64 - 1 is kept and gives j = 3: no extra output.
+        start = state_before(TWO64 - 1, 1)
+        fast, slow = SplitMix64(start), SplitMix64(start)
+        assert random_permutation(4, fast) == scalar_permutation(4, slow)
+        assert fast._state == slow._state == (start + 3 * GAMMA) % TWO64
 
 
 class TestSampler:
