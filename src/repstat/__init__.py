@@ -8,15 +8,11 @@ small unitriangular groups (coadjoint orbits), all in exact arithmetic.
 __version__ = "0.1.0"
 
 from .partitions import (
-    FrequencyForm,
     Partition,
     conjugate,
     enumerate_partitions,
-    from_frequency,
     hook_lengths,
-    parse_partition,
     partition_count,
-    to_frequency,
 )
 from .symstats import (
     AngleReport,
@@ -45,7 +41,6 @@ from .symstats import (
 from .rsk import SplitMix64, random_permutation, rsk_shape, sample_plancherel
 from .qseries import (
     GammaPartialSum,
-    Gl2Census,
     QPolynomial,
     TruncatedSeries,
     feit_fine,
@@ -55,7 +50,6 @@ from .qseries import (
     gl_order,
     gow_sum,
     log_constant_ratio,
-    sl2_pgl2_leading_check,
 )
 from .kirillov import (
     ALGEBRAS,

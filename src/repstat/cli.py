@@ -25,8 +25,8 @@ from . import __version__
 from .kirillov import ALGEBRAS, kirillov_report
 from .partitions import partition_count
 from .qseries import (
-    MAX_CLASS_COUNT_N, MAX_POLY_N, MAX_RATIO_BITS, census_class_count_polynomial, feit_fine, gamma_q,
-    gauss_identity_check, gl2_census, gl_order, gow_sum, log_constant_ratio,
+    MAX_CLASS_COUNT_N, MAX_POLY_N, MAX_RATIO_BITS, feit_fine, gamma_q, gauss_identity_check, gl2_census,
+    gl_order, gow_sum, log_constant_ratio,
 )
 from .rsk import sample_plancherel
 from .symstats import (
@@ -141,30 +141,9 @@ def _ratio_rows(a):
         raise ValueError(f"q must be at least 2, got {a.q}")
     ns = _sized_range(a.nmax, MAX_CLASS_COUNT_N)
     size = a.nmax**2 * a.q.bit_length()  # the exact ratios grow with the bit size of q^(nmax^2)
-    if size > MAX_RATIO_BITS:
-        message = f"--nmax {a.nmax} --q {a.q} exceeds the cap: nmax^2 * bits(q) = {size} > {MAX_RATIO_BITS}"
-        raise CapExceededError(size, MAX_RATIO_BITS, message)
+    _check_cap(size, MAX_RATIO_BITS, f"--nmax {a.nmax} --q {a.q}: nmax^2 * bits(q)")
     inv_gamma = 1 / gamma_q(a.q, GAMMA_REFERENCE_TERMS).value
     return [(n, log_constant_ratio(n, a.q), inv_gamma) for n in ns]
-
-
-def _census_rows(a):
-    census = gl2_census(a.q)
-    reps, classes, order = census.rep_rows, census.class_rows, census.group_order
-    rows = [("rep", c, d, c * d * d, None) for c, d in reps]
-    rows += [("class", c, s, c * s, None) for c, s in classes]
-    rows += [("class_printed_elliptic", c, s, c * s, None) for c, s in census.class_rows_printed[3:]]
-    base, count = sum(c * s for c, s in classes[:3]), classes[3][0]
-    rows += [("elliptic_candidate", count, s, base + count * s, ok) for s, ok in census.elliptic_candidates]
-    rep_ok = census.rep_identity_ok and census.rep_identity_symbolic_ok
-    class_ok = census.class_identity_ok and census.class_identity_symbolic_ok
-    class_count_poly = census_class_count_polynomial()
-    c2 = feit_fine(2)[2]
-    return rows + [
-        ("check_rep_sum", None, order, sum(c * d * d for c, d in reps), rep_ok),
-        ("check_class_sum", None, order, sum(c * s for c, s in classes), class_ok),
-        ("check_class_count", census.class_count_total, c2.evaluate(a.q), None, class_count_poly == c2),
-    ]
 
 
 def _kirillov_rows(a):
@@ -246,7 +225,7 @@ _COMMANDS = (
     ),
     _Command(
         ("gl", "census"), "GL_2 representation and class census", {"--q": _INT},
-        ("kind", "count", "value", "weight", "ok"), _census_rows,
+        ("kind", "count", "value", "weight", "ok"), lambda a: gl2_census(a.q),
     ),
     _Command(
         ("gl", "gauss"), "triangular-number series identity", {"--order": _INT},

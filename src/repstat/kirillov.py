@@ -32,7 +32,7 @@ from itertools import product
 from math import isqrt
 from typing import NamedTuple
 
-from .symstats import CapExceededError, IntegrityError
+from .symstats import IntegrityError, _check_cap
 
 # Largest p^dim the orbit tables will cover: ut4 up to p = 11, heis3 up
 # to p = 113.  The rank counts themselves are cheap, but the size tuples
@@ -151,11 +151,8 @@ def check_prime(alg: NilAlgebra, p: int) -> None:
 
 def _check_states(p: int, dim: int) -> None:
     """Refuse p^dim above MAX_STATES, before the trial-division primality test."""
-    total = p**dim
-    if p > 1 and total > MAX_STATES:
-        raise CapExceededError(
-            total, MAX_STATES, f"{p}^{dim} = {total} states exceed the orbit engine's cap {MAX_STATES}"
-        )
+    if p > 1:
+        _check_cap(p**dim, MAX_STATES, f"states {p}^{dim}")
 
 
 def _torus_representatives(alg: NilAlgebra, p: int):

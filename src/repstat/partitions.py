@@ -9,7 +9,7 @@ driven by the enumeration order fixed here (reverse-lexicographic, from
 from __future__ import annotations
 
 from operator import lt
-from typing import Iterator, NamedTuple
+from typing import Iterator
 
 
 class Partition:
@@ -51,41 +51,6 @@ class Partition:
     def serialize(self) -> str:
         """Bracketed comma-separated parts, e.g. ``[5,2]``."""
         return "[" + ",".join(map(str, self.parts)) + "]"
-
-
-def parse_partition(text: str) -> Partition:
-    """Inverse of :meth:`Partition.serialize`."""
-    text = text.strip()
-    if not (text.startswith("[") and text.endswith("]")):
-        raise ValueError(f"not a partition literal: {text!r}")
-    body = text[1:-1].strip()
-    if not body:
-        return Partition()
-    return Partition(int(v) for v in body.split(","))
-
-
-class FrequencyForm(NamedTuple):
-    """Multiplicity encoding: part value i appears freq[i] times."""
-
-    freq: tuple[tuple[int, int], ...]  # (part, multiplicity), part ascending
-
-    def serialize(self) -> str:
-        """Angle-bracket form, e.g. ``<1^1,2^3,3^1>``."""
-        return "<" + ",".join(f"{i}^{a}" for i, a in self.freq) + ">"
-
-
-def to_frequency(lam: Partition) -> FrequencyForm:
-    counts: dict[int, int] = {}
-    for v in lam.parts:
-        counts[v] = counts.get(v, 0) + 1
-    return FrequencyForm(tuple(sorted(counts.items())))
-
-
-def from_frequency(form: FrequencyForm) -> Partition:
-    parts = []
-    for value, mult in sorted(form.freq, reverse=True):
-        parts.extend([value] * mult)
-    return Partition(parts)
 
 
 def _partition_tuples(n: int) -> Iterator[tuple[int, ...]]:

@@ -3,8 +3,9 @@
 Covers the class-count polynomials C_n(q) from the Feit-Fine generating
 function, Gow's degree-sum polynomials B_n(q), group orders D_n(q), the
 Gauss theta/eta identity, the limit constant gamma(q), and the closed-form
-GL_2 census.  Everything here is exact integer or rational arithmetic;
-floats never appear except in callers' reports.
+GL_2 census, one function that returns the table ``gl census`` prints.
+Everything here is exact integer or rational arithmetic; floats never
+appear except in callers' reports.
 
 B_n and D_n are products of binomials q^a - q^b, so multiplying by one
 costs two passes over the other factor; C_n comes from a recurrence over
@@ -362,15 +363,17 @@ def log_constant_ratio(n: int, q) -> Fraction:
 
 
 # The classical GL_2(F_q) census. Representations: (count, dimension);
-# conjugacy classes: (count, size). The elliptic classes (diagonalizable
-# only over F_{q^2}) are printed in the classical table with size
-# (q^2-q)/2, while the centralizer index gives q^2-q; gl2_census carries
-# both candidates and reports which one the class equation confirms.
-_REP_COUNT_X2 = (
-    QPolynomial([-2, 2]),  # 2(q-1) central characters
-    QPolynomial([-2, 2]),  # 2(q-1) twists of Steinberg
-    QPolynomial([2, -3, 1]),  # (q-1)(q-2), principal series (doubled)
-    QPolynomial([0, -1, 1]),  # q^2-q, discrete series (doubled)
+# conjugacy classes: (count, size). Family i of the representations and
+# family i of the classes have the same count, so one table of doubled
+# counts serves both. The elliptic classes (diagonalizable only over
+# F_{q^2}) are printed in the classical table with size (q^2-q)/2, while
+# the centralizer index gives q^2-q; gl2_census has a row for each
+# candidate with the class equation's verdict.
+_FAMILY_COUNT_X2 = (
+    QPolynomial([-2, 2]),  # 2(q-1): central characters; central classes
+    QPolynomial([-2, 2]),  # 2(q-1): twists of Steinberg; central times unipotent
+    QPolynomial([2, -3, 1]),  # (q-1)(q-2): principal series; split semisimple
+    QPolynomial([0, -1, 1]),  # q^2-q: discrete series; elliptic
 )
 _REP_DIM = (
     P_ONE,
@@ -378,7 +381,6 @@ _REP_DIM = (
     QPolynomial([1, 1]),  # q+1
     QPolynomial([-1, 1]),  # q-1
 )
-_CLASS_COUNT_X2 = _REP_COUNT_X2
 _CLASS_SIZE = (
     P_ONE,
     QPolynomial([-1, 0, 1]),  # q^2-1, central times unipotent
@@ -387,99 +389,50 @@ _CLASS_SIZE = (
 )
 
 
-class Gl2Census(NamedTuple):
-    q: int
-    group_order: int
-    rep_rows: tuple[tuple[int, int], ...]  # (count, dimension)
-    class_rows: tuple[tuple[int, int], ...]  # (count, size), confirmed sizes
-    class_rows_printed: tuple[tuple[int, int], ...]  # classical table as printed
-    elliptic_candidates: tuple[tuple[int, bool], ...]  # (size, passes class eq)
-    rep_identity_ok: bool  # sum count*dim^2 == |GL_2|
-    class_identity_ok: bool  # sum count*size == |GL_2| with confirmed sizes
-    rep_identity_symbolic_ok: bool
-    class_identity_symbolic_ok: bool
-    class_count_total: int  # number of conjugacy classes == C_2(q)
+def gl2_census(q: int) -> list[tuple]:
+    """The ``gl census`` table of GL_2(F_q): (kind, count, value, weight, ok) rows.
 
-
-def gl2_census(q: int) -> Gl2Census:
-    """The four representation and four class families of GL_2(F_q).
-
-    Verifies sum count*dim^2 = |GL_2| and sum count*size = |GL_2| both
-    numerically at the given q and symbolically as polynomial identities
-    (with counts doubled so every polynomial stays integer).
+    Four rep rows (count, dim, count*dim^2), four class rows (count, size,
+    count*size), the elliptic classes at their printed size, both elliptic
+    size candidates against the class equation, and three checks.  The two
+    sum checks pass only if they hold at q and as polynomial identities
+    (counts doubled so every polynomial stays integer).
     """
     if q < 2:
         raise ValueError(f"q must be at least 2, got {q}")
     _check_cap(q.bit_length(), MAX_CENSUS_Q_BITS, "bits(q)")
     order_poly = gl_order(2)
     order = order_poly.evaluate(q)
-    rep_rows = tuple(
-        (c2.evaluate(q) // 2, d.evaluate(q)) for c2, d in zip(_REP_COUNT_X2, _REP_DIM)
-    )
-    class_rows = tuple(
-        (c2.evaluate(q) // 2, s.evaluate(q)) for c2, s in zip(_CLASS_COUNT_X2, _CLASS_SIZE)
-    )
-    elliptic_count = class_rows[3][0]
-    base = sum(c * s for c, s in class_rows[:3])
-    full_size = q * q - q
-    half_size = (q * q - q) // 2
-    candidates = tuple(
-        (size, base + elliptic_count * size == order) for size in (full_size, half_size)
-    )
-    class_rows_printed = class_rows[:3] + ((elliptic_count, half_size),)
-    rep_ok = sum(c * d * d for c, d in rep_rows) == order
-    class_ok = sum(c * s for c, s in class_rows) == order
+    counts = [c2.evaluate(q) // 2 for c2 in _FAMILY_COUNT_X2]
+    dims = [d.evaluate(q) for d in _REP_DIM]
+    sizes = [s.evaluate(q) for s in _CLASS_SIZE]
+    rows = [("rep", c, d, c * d * d, None) for c, d in zip(counts, dims)]
+    rows += [("class", c, s, c * s, None) for c, s in zip(counts, sizes)]
+    elliptic, half_size = counts[3], sizes[3] // 2
+    rows.append(("class_printed_elliptic", elliptic, half_size, elliptic * half_size, None))
+    base = sum(c * s for c, s in zip(counts[:3], sizes))
+    for size in (sizes[3], half_size):
+        weight = base + elliptic * size
+        rows.append(("elliptic_candidate", elliptic, size, weight, weight == order))
+    rep_sum = sum(c * d * d for c, d in zip(counts, dims))
+    class_sum = base + elliptic * sizes[3]
     two_order = 2 * order_poly
-    rep_sym = sum(
-        (c2 * d * d for c2, d in zip(_REP_COUNT_X2, _REP_DIM)), P_ZERO
-    ) == two_order
-    class_sym = sum(
-        (c2 * s for c2, s in zip(_CLASS_COUNT_X2, _CLASS_SIZE)), P_ZERO
-    ) == two_order
-    return Gl2Census(
-        q=q,
-        group_order=order,
-        rep_rows=rep_rows,
-        class_rows=class_rows,
-        class_rows_printed=class_rows_printed,
-        elliptic_candidates=candidates,
-        rep_identity_ok=rep_ok,
-        class_identity_ok=class_ok,
-        rep_identity_symbolic_ok=rep_sym,
-        class_identity_symbolic_ok=class_sym,
-        class_count_total=sum(c for c, _ in class_rows),
-    )
+    rep_sym = sum((c2 * d * d for c2, d in zip(_FAMILY_COUNT_X2, _REP_DIM)), P_ZERO) == two_order
+    class_sym = sum((c2 * s for c2, s in zip(_FAMILY_COUNT_X2, _CLASS_SIZE)), P_ZERO) == two_order
+    c2 = feit_fine(2)[2]
+    return rows + [
+        ("check_rep_sum", None, order, rep_sum, rep_sum == order and rep_sym),
+        ("check_class_sum", None, order, class_sum, class_sum == order and class_sym),
+        ("check_class_count", sum(counts), c2.evaluate(q), None, census_class_count_polynomial() == c2),
+    ]
 
 
 def census_class_count_polynomial() -> QPolynomial:
     """Total number of GL_2 conjugacy classes from the census, symbolically.
 
     Summing the four doubled family counts and halving must reproduce the
-    Feit-Fine polynomial C_2(q) = q^2 - 1; the test suite checks this.
+    Feit-Fine polynomial C_2(q) = q^2 - 1; gl2_census and the test suite
+    check this.
     """
-    doubled = sum(_CLASS_COUNT_X2, P_ZERO)
+    doubled = sum(_FAMILY_COUNT_X2, P_ZERO)
     return QPolynomial(v // 2 for v in doubled.coeffs)
-
-
-class LeadingTermReport(NamedTuple):
-    """SL_2 half-discrete-series dimensions vs PGL_2 order-2 class sizes.
-
-    Each pair (2*dim^2, class size) shares the leading term q^2/2, so the
-    ratio tends to 1; within_tolerance checks both ratios against 1 +- 5/q.
-    """
-
-    q: int
-    pairs: tuple[tuple[int, int, Fraction], ...]  # (2*dim^2, class size, ratio)
-    within_tolerance: bool
-
-
-def sl2_pgl2_leading_check(q: int) -> LeadingTermReport:
-    if q < 3 or q % 2 == 0:
-        raise ValueError(f"q must be odd and at least 3, got {q}")
-    pairs = []
-    for dim, size in (((q + 1) // 2, q * (q + 1) // 2), ((q - 1) // 2, (q * q - q) // 2)):
-        doubled = 2 * dim * dim
-        pairs.append((doubled, size, Fraction(doubled, size)))
-    tol = Fraction(5, q)
-    ok = all(1 - tol <= ratio <= 1 + tol for _, _, ratio in pairs)
-    return LeadingTermReport(q=q, pairs=tuple(pairs), within_tolerance=ok)

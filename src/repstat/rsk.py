@@ -98,16 +98,6 @@ class SplitMix64:
         z ^= (z >> 31) & mask
         return unpack.unpack(z.to_bytes(16 * count, "little"))
 
-    def below(self, bound: int) -> int:
-        """Uniform integer in [0, bound), bias-free via rejection."""
-        if bound <= 0:
-            raise ValueError(f"bound must be positive, got {bound}")
-        limit = (1 << 64) - ((1 << 64) % bound)
-        while True:
-            r = self.next_u64()
-            if r < limit:
-                return r % bound
-
 
 def substream(seed: int, index: int) -> SplitMix64:
     """Independent stream for sample `index` of a run seeded with `seed`."""
@@ -117,9 +107,11 @@ def substream(seed: int, index: int) -> SplitMix64:
 def random_permutation(n: int, rng: SplitMix64) -> list[int]:
     """Fisher-Yates shuffle of 1..n driven by the given stream.
 
-    Step i draws rng.below(i + 1): the n - 1 draws come from one take(),
-    and a rejected draw moves every later step one output further, past
-    the end of that buffer into next_u64.
+    Step i swaps position i with r mod (i + 1), r the next output below
+    the largest multiple of i + 1 up to 2^64 (unbiased rejection).  The
+    n - 1 draws come from one take(), and a rejected draw moves every
+    later step one output further, past the end of that buffer into
+    next_u64.
     """
     perm = list(range(1, n + 1))
     # 2^64 mod bound < bound <= n, so a draw below 2^64 - n is never rejected.

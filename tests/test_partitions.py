@@ -6,15 +6,11 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repstat.partitions import (
-    FrequencyForm,
     Partition,
     conjugate,
     enumerate_partitions,
-    from_frequency,
     hook_lengths,
-    parse_partition,
     partition_count,
-    to_frequency,
 )
 
 
@@ -51,8 +47,6 @@ class TestPartitionType:
     def test_serialize_round_trip(self):
         lam = Partition([5, 2])
         assert lam.serialize() == "[5,2]"
-        assert parse_partition("[5,2]") == lam
-        assert parse_partition("[]") == Partition()
 
 
 class TestEnumerate:
@@ -108,26 +102,6 @@ class TestConjugate:
         assert mu.n == lam.n
         if lam.parts:
             assert len(mu.parts) == lam.parts[0]
-
-
-class TestFrequency:
-    def test_example(self):
-        form = to_frequency(Partition([3, 2, 2, 2, 1]))
-        assert form.freq == ((1, 1), (2, 3), (3, 1))
-        assert form.serialize() == "<1^1,2^3,3^1>"
-
-    def test_single_part_and_ones(self):
-        assert to_frequency(Partition([7])).freq == ((7, 1),)
-        assert to_frequency(Partition([1, 1, 1])).freq == ((1, 3),)
-
-    def test_round_trip_exhaustive(self):
-        for n in range(0, 13):
-            for lam in enumerate_partitions(n):
-                assert from_frequency(to_frequency(lam)) == lam
-
-    def test_weight_identity(self):
-        for lam in enumerate_partitions(9):
-            assert sum(i * a for i, a in to_frequency(lam).freq) == 9
 
 
 class TestHookLengths:

@@ -27,7 +27,6 @@ from repstat.qseries import (
     gow_sum,
     log_constant_ratio,
     q_power,
-    sl2_pgl2_leading_check,
 )
 from repstat.symstats import CapExceededError, IntegrityError
 
@@ -317,30 +316,30 @@ class TestLogConstantRatio:
         assert diffs[5] < diffs[6]  # n=6 beats n=7: not monotone per step
 
 
+def census_rows(q, kind):
+    return [row[1:] for row in gl2_census(q) if row[0] == kind]
+
+
 class TestGl2Census:
     def test_q2_rep_rows(self):
-        census = gl2_census(2)
-        assert census.rep_rows == ((1, 1), (1, 2), (0, 3), (1, 1))
-        assert census.group_order == 6
-        assert sum(c * d * d for c, d in census.rep_rows) == 6
-        assert census.rep_identity_ok and census.rep_identity_symbolic_ok
+        assert [(c, d) for c, d, _, _ in census_rows(2, "rep")] == [(1, 1), (1, 2), (0, 3), (1, 1)]
+        assert census_rows(2, "check_rep_sum") == [(None, 6, 6, True)]
 
     def test_q3_class_rows(self):
-        census = gl2_census(3)
-        printed = sorted(census.class_rows_printed)
-        assert sorted(s for _, s in printed) == [1, 3, 8, 12]
-        assert sorted(c for c, _ in printed) == [1, 2, 2, 3]
+        classes = census_rows(3, "class")
+        printed = classes[:3] + census_rows(3, "class_printed_elliptic")
+        assert sorted(s for _, s, _, _ in printed) == [1, 3, 8, 12]
+        assert sorted(c for c, _, _, _ in printed) == [1, 2, 2, 3]
         # The class equation singles out q^2 - q, not (q^2-q)/2.
-        assert census.class_rows[3] == (3, 6)
-        assert dict(census.elliptic_candidates) == {6: True, 3: False}
-        assert census.class_identity_ok and census.class_identity_symbolic_ok
+        assert classes[3][:2] == (3, 6)
+        assert {s: ok for _, s, _, ok in census_rows(3, "elliptic_candidate")} == {6: True, 3: False}
+        assert census_rows(3, "check_class_sum")[0][-1] is True
 
     def test_identities_across_q(self):
         for q in range(2, 12):
-            census = gl2_census(q)
-            assert census.rep_identity_ok
-            assert census.class_identity_ok
-            assert census.class_count_total == q * q - 1
+            checks = {row[0]: row[1:] for row in gl2_census(q) if row[0].startswith("check")}
+            assert checks["check_rep_sum"][-1] and checks["check_class_sum"][-1]
+            assert checks["check_class_count"][:2] == (q * q - 1, q * q - 1)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -349,20 +348,33 @@ class TestGl2Census:
             gl2_census(1 << qseries.MAX_CENSUS_Q_BITS)
 
 
+def leading_pairs(q):
+    """(2 dim^2, class size, ratio) for odd q: the SL_2 half-discrete-series
+    dimensions (q +- 1)/2 against the PGL_2 order-2 class sizes q(q +- 1)/2.
+    Each pair shares the leading term q^2/2."""
+    pairs = []
+    for dim, size in (((q + 1) // 2, q * (q + 1) // 2), ((q - 1) // 2, (q * q - q) // 2)):
+        pairs.append((2 * dim * dim, size, Fraction(2 * dim * dim, size)))
+    return pairs
+
+
+def within_tolerance(q):
+    return all(abs(ratio - 1) <= Fraction(5, q) for _, _, ratio in leading_pairs(q))
+
+
 class TestLeadingTerms:
     def test_q3(self):
-        report = sl2_pgl2_leading_check(3)
-        assert report.pairs[0][:2] == (8, 6)
-        assert report.pairs[0][2] == Fraction(4, 3)
-        assert report.within_tolerance
+        pairs = leading_pairs(3)
+        assert pairs[0][:2] == (8, 6)
+        assert pairs[0][2] == Fraction(4, 3)
+        assert within_tolerance(3)
 
     def test_grid_to_101(self):
         for q in range(3, 102, 2):
-            assert sl2_pgl2_leading_check(q).within_tolerance
+            assert within_tolerance(q)
 
     def test_ratio_tends_to_one(self):
-        r101 = sl2_pgl2_leading_check(101)
-        for _, _, ratio in r101.pairs:
+        for _, _, ratio in leading_pairs(101):
             assert abs(ratio - 1) <= Fraction(5, 101)
 
     def test_symbolic_leading_terms(self):
@@ -374,7 +386,3 @@ class TestLeadingTerms:
         for dim_side, class_side in ((2 * plus * plus, 2 * P_Q * plus), (2 * minus * minus, 2 * P_Q * minus)):
             assert dim_side.degree == class_side.degree == 2
             assert dim_side.leading == class_side.leading == 2
-
-    def test_even_q_rejected(self):
-        with pytest.raises(ValueError):
-            sl2_pgl2_leading_check(4)

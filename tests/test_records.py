@@ -9,27 +9,15 @@ import pytest
 
 import repstat
 from repstat.kirillov import NilAlgebra, OrbitReport
-from repstat.partitions import FrequencyForm
-from repstat.qseries import Gl2Census, LeadingTermReport
 from repstat.symstats import AngleReport, DimRecord, Histogram, IntervalCounts
 
 # Field names in order: the CLI prints AngleReport and IntervalCounts as
 # rows and the kirillov JSON report keys follow OrbitReport.
 RECORDS = [
-    (FrequencyForm, ("freq",)),
     (DimRecord, ("lam", "dim", "class_size", "log_dim_sq", "log_class")),
     (AngleReport, ("n", "sum_dim", "sum_dim_sq", "count", "cos_sq", "log_ratio", "predicted_log")),
     (IntervalCounts, ("n", "alpha", "beta", "count_dim_sq", "count_class")),
     (Histogram, ("bin_edges", "counts")),
-    (
-        Gl2Census,
-        (
-            "q", "group_order", "rep_rows", "class_rows", "class_rows_printed", "elliptic_candidates",
-            "rep_identity_ok", "class_identity_ok", "rep_identity_symbolic_ok", "class_identity_symbolic_ok",
-            "class_count_total",
-        ),
-    ),
-    (LeadingTermReport, ("q", "pairs", "within_tolerance")),
     (NilAlgebra, ("name", "matrix_size", "dim", "positions", "brackets", "nilpotency_class", "derived_dim")),
     (
         OrbitReport,

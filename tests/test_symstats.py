@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations
@@ -16,7 +17,7 @@ import pytest
 import repstat
 from repstat import symstats
 from repstat.partitions import (
-    Partition, conjugate, enumerate_partitions, hook_lengths, partition_count, to_frequency,
+    Partition, conjugate, enumerate_partitions, hook_lengths, partition_count,
 )
 from repstat.symstats import (
     MAX_HIST_BINS,
@@ -208,7 +209,7 @@ class TestSweepKernel:
             for rec in sweep(n):
                 hooks = math.prod(h for row in hook_lengths(rec.lam) for h in row)
                 assert divmod(fact, hooks) == (rec.dim, 0)
-                denom = math.prod(v**a * factorial(a) for v, a in to_frequency(rec.lam).freq)
+                denom = math.prod(v**a * factorial(a) for v, a in Counter(rec.lam.parts).items())
                 assert rec.class_size == fact // denom
 
     def test_enumeration_unchanged(self):
