@@ -63,6 +63,18 @@ def _json_cell(value):
     return str(value)
 
 
+# The cell formatters by exact type, for the types tables hold most; any
+# other type (Fraction, list, tuple) goes through the chains above.
+_CSV_BY_TYPE = {
+    str: str, int: str, type(None): lambda v: "", bool: lambda v: "true" if v else "false",
+    float: "{:.12g}".format,
+}
+_JSON_BY_TYPE = {
+    str: str, int: str, type(None): lambda v: v, bool: lambda v: v,
+    float: lambda v: float(f"{v:.12g}"),
+}
+
+
 class _Command(NamedTuple):
     """One table: where it sits in the CLI, its flags, columns and rows.
 
@@ -87,15 +99,17 @@ def _emit(args) -> str:
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(cmd.columns)
-        writer.writerows([_csv_cell(v) for v in row] for row in rows)
+        cell = _CSV_BY_TYPE.get
+        writer.writerows([cell(type(v), _csv_cell)(v) for v in row] for row in rows)
         return buf.getvalue()
+    cell = _JSON_BY_TYPE.get
     payload = {
         "meta": {
             "invocation": " ".join(args.invocation),
             "version": __version__,
             "seed": getattr(args, "seed", None),
         },
-        "rows": [{c: _json_cell(v) for c, v in zip(cmd.columns, row)} for row in rows],
+        "rows": [{c: cell(type(v), _json_cell)(v) for c, v in zip(cmd.columns, row)} for row in rows],
         **extra,
     }
     return json.dumps(payload, indent=2) + "\n"

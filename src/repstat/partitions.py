@@ -11,6 +11,11 @@ from __future__ import annotations
 from operator import lt
 from typing import Iterator
 
+# Decimal strings of the parts serialize looks up instead of formatting.
+# Sweep parts stay below 51 and Plancherel parts at n = 1000 below about
+# 70; larger parts fall back to str.
+_DIGITS = tuple(map(str, range(100)))
+
 
 class Partition:
     """A weakly decreasing sequence of positive integers.
@@ -50,7 +55,22 @@ class Partition:
 
     def serialize(self) -> str:
         """Bracketed comma-separated parts, e.g. ``[5,2]``."""
-        return "[" + ",".join(map(str, self.parts)) + "]"
+        parts = self.parts
+        if parts and parts[0] >= len(_DIGITS):
+            return "[" + ",".join(map(str, parts)) + "]"
+        return "[" + ",".join([_DIGITS[v] for v in parts]) + "]"
+
+
+def _trusted_partition(parts: tuple[int, ...], n: int) -> Partition:
+    """Partition of n from a tuple already known to be positive and weakly decreasing.
+
+    For parts built by the library's own walks and insertions; skips the
+    checks of Partition.__init__, which would only confirm them.
+    """
+    lam = object.__new__(Partition)
+    lam.parts = parts
+    lam.n = n
+    return lam
 
 
 def _partition_tuples(n: int) -> Iterator[tuple[int, ...]]:

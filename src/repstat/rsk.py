@@ -28,7 +28,7 @@ from itertools import chain
 from math import factorial
 from typing import Iterator
 
-from .partitions import Partition
+from .partitions import Partition, _trusted_partition
 from .symstats import _check_cap, dimension, ln_big
 
 _TWO64 = 1 << 64
@@ -132,11 +132,18 @@ def rsk_shape(perm) -> Partition:
     """Shape of the insertion tableau under row-insertion RSK.
 
     The first part equals the length of the longest increasing
-    subsequence of the permutation.
+    subsequence of the permutation.  Raises ValueError unless perm is a
+    permutation of 1..n.
     """
     perm = list(perm)
     n = len(perm)
-    if sorted(perm) != list(range(1, n + 1)):
+    # n values fill the n-set {1..n} only if they are distinct, so set
+    # equality is the whole check, without sorting.
+    try:
+        valid = set(perm) == set(range(1, n + 1))
+    except TypeError:  # an unhashable entry
+        valid = False
+    if not valid:
         raise ValueError("input must be a permutation of 1..n")
     rows: list[list[int]] = []
     for x in perm:
@@ -149,7 +156,8 @@ def rsk_shape(perm) -> Partition:
             row[pos], x = x, row[pos]
         else:
             rows.append([x])
-    return Partition(len(row) for row in rows)
+    # Row lengths of a tableau are weakly decreasing.
+    return _trusted_partition(tuple(map(len, rows)), n)
 
 
 def sample_plancherel(

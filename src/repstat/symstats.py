@@ -10,12 +10,16 @@ Exact identities maintained throughout (and re-verified on every sweep):
     sum of dim^2         = n!
     sum of class sizes   = n!    (the class equation)
 
-The sweep works on plain part tuples and builds one Partition per record.
-Hook products are falling factorials over column segments read off the
-tuple, class-size denominators come from run lengths and a factorial
-table that grows on demand, and dimension and class_size call the same
-two helpers.  Only the last swept level is cached; max_dimension,
-vk_ratio, fraction_near_max, layer_sums and interval_counts reuse it.
+The sweep builds every partition of n bottom-up, one row at a time, in a
+depth-first walk.  By the hook-length formula (Frame, Robinson and Thrall
+1954) a new top row adds hooks only in its own boxes, so the rows below
+keep theirs: each step multiplies the carried hook product by the new
+row's hooks (_top_row), and the carried centralizer order by v times the
+run length of v.  Each leaf is one record, and the records are sorted
+once into reverse-lexicographic order.  dimension and class_size walk a
+single partition with the same step.  Only the last swept level is
+cached; max_dimension, vk_ratio, fraction_near_max, layer_sums and
+interval_counts reuse it.
 """
 
 from __future__ import annotations
@@ -25,9 +29,10 @@ from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial, perm
+from operator import attrgetter
 from typing import NamedTuple
 
-from .partitions import Partition, _partition_tuples, partition_count
+from .partitions import Partition, _trusted_partition, partition_count
 
 # Largest n the S_n sweeps accept and largest bin count histogram accepts.
 # A sweep holds all p(n) records, 204,226 at n = 50.
@@ -45,20 +50,14 @@ class CapExceededError(RuntimeError):
     """A request exceeded one of the library's fixed size caps.
 
     Every cap is a module constant (MAX_SWEEP_N, MAX_POLY_N, MAX_STATES,
-    MAX_CENSUS_Q_BITS, ...); none can be raised by the caller.  value is
-    the size asked for, cap the limit it exceeded, and message says which
-    input was too large.
+    MAX_CENSUS_Q_BITS, ...); none can be raised by the caller.  The
+    message names the input, the size asked for and the cap it exceeded.
     """
-
-    def __init__(self, value: int, cap: int, message: str):
-        super().__init__(message)
-        self.value = value
-        self.cap = cap
 
 
 def _check_cap(value: int, cap: int, what: str) -> None:
     if value > cap:
-        raise CapExceededError(value, cap, f"{what}={value} exceeds the cap {cap}")
+        raise CapExceededError(f"{what}={value} exceeds the cap {cap}")
 
 
 def ln_big(x: int) -> float:
@@ -83,47 +82,41 @@ def ln_fraction(r: Fraction) -> float:
     return ln_big(r.numerator) - ln_big(r.denominator)
 
 
-def _hook_product(parts: tuple[int, ...]) -> int:
-    """Product of the hook lengths of the diagram with these parts.
+def _top_row(v: int, top: int, depth: int, segments) -> int:
+    """Product of the hooks of a new top row of length v laid over depth rows.
 
-    Column lengths are read off the tuple: the columns j in [lam_{r+1}, lam_r)
-    all have length r + 1, so along row i their hooks lam_i - i + r - j are
-    consecutive integers, one falling factorial per row and column segment.
+    top is the length of the current top row (0 over no rows).  Columns
+    past top are empty below, so their hooks are v - top, ..., 1.  A
+    segment (lo, hi, k) is the column block (lo, hi] opened by the row at
+    depth k; its columns hold depth - k + 1 boxes, so along the new row
+    their hooks are hi - lo consecutive integers, one falling factorial.
     """
-    segments = []  # (r - lam_{r+1}, lam_r - lam_{r+1}, lam_r), left to right
-    below = 0
-    for r in range(len(parts) - 1, -1, -1):
-        if parts[r] != below:
-            segments.append((r - below, parts[r] - below, parts[r]))
-            below = parts[r]
-    prod = 1
-    for i, v in enumerate(parts):
-        for offset, width, right in segments:
-            if right > v:
-                break
-            prod *= perm(v - i + offset, width)
+    prod = factorial(v - top)
+    x = v + depth + 1
+    for lo, hi, k in segments:
+        prod *= perm(x - lo - k, hi - lo)
     return prod
 
 
-_fact = [1]  # dense table of 0!, 1!, ..., grown on demand
+def _shape_products(parts: tuple[int, ...]) -> tuple[int, int]:
+    """(hook product, centralizer order prod_v v^a * a!) of one partition.
 
-
-def _class_denominator(parts: tuple[int, ...]) -> int:
-    """prod_v v^a * a! over the runs of a parts equal to v: the centralizer order."""
-    while len(_fact) <= len(parts):
-        _fact.append(_fact[-1] * len(_fact))
-    denom = 1
-    prev = run = 0
-    for v in parts:
-        if v == prev:
+    Lays the rows from the bottom up, as the sweep does; a is the run
+    length of the part v.
+    """
+    hooks = central = 1
+    top = depth = run = 0
+    segments = ()
+    for v in reversed(parts):
+        hooks *= _top_row(v, top, depth, segments)
+        depth += 1
+        if v == top:
             run += 1
         else:
-            if run:
-                denom *= prev**run * _fact[run]
-            prev, run = v, 1
-    if run:
-        denom *= prev**run * _fact[run]
-    return denom
+            segments += ((top, v, depth),)
+            top, run = v, 1
+        central *= v * run
+    return hooks, central
 
 
 def dimension(lam: Partition) -> int:
@@ -133,7 +126,7 @@ def dimension(lam: Partition) -> int:
     The division is exact by theorem; a nonzero remainder is reported as
     an internal defect rather than silently truncated.
     """
-    d, rem = divmod(factorial(lam.n), _hook_product(lam.parts))
+    d, rem = divmod(factorial(lam.n), _shape_products(lam.parts)[0])
     if rem:
         raise IntegrityError(f"hook product does not divide n! for {lam}")
     return d
@@ -144,7 +137,7 @@ def class_size(lam: Partition) -> int:
 
     n! / prod_i (i^a_i * a_i!) where a_i is the multiplicity of part i.
     """
-    return factorial(lam.n) // _class_denominator(lam.parts)
+    return factorial(lam.n) // _shape_products(lam.parts)[1]
 
 
 def involution_count(n: int) -> int:
@@ -179,18 +172,31 @@ class DimRecord(NamedTuple):
 def _sweep_records(n: int) -> tuple[DimRecord, ...]:
     fact = factorial(n)
     records = []
-    sum_dim = 0
-    sum_dim_sq = 0
-    sum_class = 0
-    for parts in _partition_tuples(n):
-        d, rem = divmod(fact, _hook_product(parts))
-        if rem:
-            raise IntegrityError(f"hook product does not divide n! for {list(parts)}")
-        c = fact // _class_denominator(parts)
-        records.append(DimRecord(Partition(parts), d, c, 2.0 * ln_big(d), ln_big(c)))
-        sum_dim += d
-        sum_dim_sq += d * d
-        sum_class += c
+    # A node is a stack of rows, bottom-up: (parts, top, depth, rest,
+    # hook product, centralizer order, run length of top, segments).
+    nodes = [((), 0, 0, n, 1, 1, 0, ())]
+    while nodes:
+        parts, top, depth, rest, hooks, central, run, segments = nodes.pop()
+        # Every next row v that leaves room for a row of at least v above
+        # it, and v = rest, the top row that completes a partition of n.
+        for v in (*range(max(top, 1), rest // 2 + 1), rest):
+            h = hooks * _top_row(v, top, depth, segments)
+            r = run + 1 if v == top else 1
+            z = central * v * r
+            if v < rest:
+                above = segments if v == top else (*segments, (top, v, depth + 1))
+                nodes.append(((v, *parts), v, depth + 1, rest - v, h, z, r, above))
+                continue
+            d, rem = divmod(fact, h)
+            if rem:
+                raise IntegrityError(f"hook product does not divide n! for {[v, *parts]}")
+            c = fact // z
+            records.append(DimRecord(_trusted_partition((v, *parts), n), d, c, 2.0 * ln_big(d), ln_big(c)))
+    # The parts tuples are distinct, so this is the enumeration's reverse-lex order.
+    records.sort(key=attrgetter("lam.parts"), reverse=True)
+    sum_dim = sum(rec.dim for rec in records)
+    sum_dim_sq = sum(rec.dim * rec.dim for rec in records)
+    sum_class = sum(rec.class_size for rec in records)
     if sum_dim != involution_count(n) or sum_dim_sq != fact or sum_class != fact:
         raise IntegrityError(f"moment identities failed at n={n}")
     return tuple(records)

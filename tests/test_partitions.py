@@ -48,6 +48,12 @@ class TestPartitionType:
         lam = Partition([5, 2])
         assert lam.serialize() == "[5,2]"
 
+    def test_serialize_parts_past_digit_table(self):
+        # Parts from 100 up are formatted with str rather than looked up.
+        assert Partition([100, 99, 10, 1]).serialize() == "[100,99,10,1]"
+        assert Partition([12345]).serialize() == "[12345]"
+        assert Partition().serialize() == "[]"
+
 
 class TestEnumerate:
     def test_zero(self):

@@ -96,6 +96,22 @@ class TestRskShape:
         with pytest.raises(ValueError):
             rsk_shape([0, 1])
 
+    @pytest.mark.parametrize(
+        "bad",
+        [[1, 2, 2], [1, 3, 3, 4], [2, 3], [1, 2.5], [1, "2"], [[1], [2]], [1, 2, 3, 3]],
+        ids=["repeat", "repeat-gap", "shifted", "float", "str", "unhashable", "extra-repeat"],
+    )
+    def test_rejects_every_non_permutation(self, bad):
+        # The check compares value sets, so a repeat that keeps the set, a
+        # gap, a foreign value and an unhashable entry must each be refused.
+        with pytest.raises(ValueError, match="permutation of 1..n"):
+            rsk_shape(bad)
+
+    def test_accepts_sampler_permutations(self):
+        for k in range(5):
+            perm = random_permutation(200, substream(9, k))
+            assert rsk_shape(perm).n == 200
+
 
 class TestSplitMix:
     def test_known_stream_is_stable(self):

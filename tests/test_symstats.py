@@ -16,6 +16,7 @@ import pytest
 
 import repstat
 from repstat import symstats
+from repstat.rsk import sample_plancherel
 from repstat.partitions import (
     Partition, conjugate, enumerate_partitions, hook_lengths, partition_count,
 )
@@ -222,6 +223,25 @@ class TestSweepKernel:
         assert dimension(Partition()) == 1
         assert class_size(Partition()) == 1
 
+    @pytest.mark.parametrize("n", [30, 40])
+    def test_sorted_walk_is_enumeration_order(self, n):
+        # The walk's leaves are sorted once; layer_sums' contiguous blocks
+        # rest on this being exactly the ZS1 reverse-lex order.
+        recs = list(sweep(n))
+        assert [rec.lam for rec in recs] == list(enumerate_partitions(n))
+        assert {rec.lam.n for rec in recs} == {n}
+
+    def test_plancherel_shapes_against_hook_lengths(self):
+        # Shapes at n = 1000 carry dozens of column segments, which the
+        # n <= 25 sweep comparison above never reaches.
+        n = 1000
+        fact = factorial(n)
+        for shape, _ in sample_plancherel(n, 2024, 30):
+            hooks = math.prod(h for row in hook_lengths(shape) for h in row)
+            assert divmod(fact, hooks) == (dimension(shape), 0)
+            denom = math.prod(v**a * factorial(a) for v, a in Counter(shape.parts).items())
+            assert class_size(shape) == fact // denom
+
 
 class TestSweepIntegrity:
     @pytest.fixture(autouse=True)
@@ -231,15 +251,21 @@ class TestSweepIntegrity:
         _sweep_records.cache_clear()
 
     def test_hook_remainder(self, monkeypatch):
-        real = symstats._hook_product
-        monkeypatch.setattr(symstats, "_hook_product", lambda parts: real(parts) * 11)
+        real = symstats._top_row
+        # Every row step times 11, a prime that does not divide 8!.
+        monkeypatch.setattr(symstats, "_top_row", lambda *row: real(*row) * 11)
         with pytest.raises(IntegrityError, match="does not divide"):
             list(sweep(8))
 
     def test_class_denominator(self, monkeypatch):
-        real = symstats._class_denominator
-        # The 8-cycles' centralizer tripled: every class size stays positive.
-        monkeypatch.setattr(symstats, "_class_denominator", lambda parts: real(parts) * (3 if parts == (8,) else 1))
+        real = symstats.DimRecord
+        # The walk carries the centralizer order inline, so the fault goes
+        # where it lands: the 8-cycles' centralizer tripled (8 -> 24), which
+        # leaves every class size positive but breaks the class equation.
+        def tripled(lam, dim, size, *logs):
+            return real(lam, dim, size // 3 if lam.parts == (8,) else size, *logs)
+
+        monkeypatch.setattr(symstats, "DimRecord", tripled)
         with pytest.raises(IntegrityError, match="moment identities"):
             list(sweep(8))
 
@@ -253,10 +279,10 @@ class TestSweepIntegrity:
         env = {**os.environ, "PYTHONPATH": src}
         code = (
             "from repstat import cli, symstats\n"
-            "real = symstats._hook_product\n"
-            "symstats._hook_product = lambda parts: real(parts) * 11\n"
+            "real = symstats._top_row\n"
+            "symstats._top_row = lambda *row: real(*row) * 11\n"
             "print(cli.main(['sym', 'sweep', '--n', '8']))\n"
-            "symstats._hook_product = real\n"
+            "symstats._top_row = real\n"
             "symstats.involution_count = lambda n: 0\n"
             "print(cli.main(['sym', 'sweep', '--n', '9']))\n"
         )
