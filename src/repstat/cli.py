@@ -1,21 +1,25 @@
 """Command-line surface: reproducible CSV/JSON emission for every table.
 
-Exit codes: 0 success, 2 usage or validation error, 3 size-cap refusal,
-4 internal invariant violation.  Identical invocations produce byte-identical
-output; figure-style data is emitted as tables, plotting is left to other
-tools.
+Exit codes: 0 success, 2 usage or validation error (a failed write to
+stdout or ``--out`` included), 3 size-cap refusal, 4 internal invariant
+violation.  Identical invocations produce byte-identical output;
+figure-style data is emitted as tables, plotting is left to other tools.
 
 Every command is one entry of ``_COMMANDS``: its path, help, flags, columns
 and a row builder.  ``build_parser`` turns the table into argparse
-subcommands and ``_emit`` renders any entry's rows as CSV or JSON.
+subcommands and ``_emit`` renders any entry's rows as CSV or JSON.  Rows
+hold library values; each format renders every cell through one table
+keyed by the cell's exact type (``_CSV``, ``_JSON``).
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
 import json
+import os
 import sys
 from collections import Counter
 from fractions import Fraction
@@ -23,10 +27,10 @@ from typing import Callable, NamedTuple
 
 from . import __version__
 from .kirillov import ALGEBRAS, kirillov_report
-from .partitions import partition_count
+from .partitions import Partition, partition_count
 from .qseries import (
-    MAX_CLASS_COUNT_N, MAX_POLY_N, MAX_RATIO_BITS, feit_fine, gamma_q, gauss_identity_check, gl2_census,
-    gl_order, gow_sum, log_constant_ratio,
+    MAX_CLASS_COUNT_N, MAX_POLY_N, MAX_RATIO_BITS, QPolynomial, feit_fine, gamma_q, gauss_identity_check,
+    gl2_census, gl_order, gow_sum, log_constant_ratio,
 )
 from .rsk import sample_plancherel
 from .symstats import (
@@ -36,50 +40,30 @@ from .symstats import (
 
 GAMMA_REFERENCE_TERMS = 40
 
-
-def _csv_cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, int):
-        return str(value)
-    if isinstance(value, (float, Fraction)):
-        return f"{float(value):.12g}"
-    if isinstance(value, (list, tuple)):
-        return " ".join(_csv_cell(v) for v in value)
-    return str(value)
-
-
-def _json_cell(value):
-    if value is None or isinstance(value, bool):
-        return value
-    if isinstance(value, int):
-        return str(value)
-    if isinstance(value, (float, Fraction)):
-        return float(f"{float(value):.12g}")
-    if isinstance(value, (list, tuple)):
-        return [_json_cell(v) for v in value]
-    return str(value)
-
-
-# The cell formatters by exact type, for the types tables hold most; any
-# other type (Fraction, list, tuple) goes through the chains above.
-_CSV_BY_TYPE = {
+# Cell formatters by exact type: big integers as decimal strings, reals to
+# 12 significant digits, sequences space-joined in CSV and as lists in
+# JSON.  A type missing here is rendered with str.
+_CSV = {
     str: str, int: str, type(None): lambda v: "", bool: lambda v: "true" if v else "false",
-    float: "{:.12g}".format,
+    float: "{:.12g}".format, Fraction: lambda v: f"{float(v):.12g}",
+    Partition: Partition.serialize, QPolynomial: QPolynomial.serialize,
 }
-_JSON_BY_TYPE = {
+_CSV[tuple] = _CSV[list] = lambda v: " ".join([_CSV.get(type(x), str)(x) for x in v])
+_JSON = {
     str: str, int: str, type(None): lambda v: v, bool: lambda v: v,
-    float: lambda v: float(f"{v:.12g}"),
+    float: lambda v: float(f"{v:.12g}"), Fraction: lambda v: float(f"{float(v):.12g}"),
+    Partition: Partition.serialize, QPolynomial: QPolynomial.serialize,
 }
+_JSON[tuple] = _JSON[list] = lambda v: [_JSON.get(type(x), str)(x) for x in v]
 
 
 class _Command(NamedTuple):
     """One table: where it sits in the CLI, its flags, columns and rows.
 
-    ``rows(args)`` returns tuples in column order; with ``extra`` set it
-    returns ``(rows, extra)`` and the dict ``extra`` joins the JSON payload.
+    ``rows(args)`` returns an iterable of tuples in column order whose
+    cells are library values (ints, floats, partitions, polynomials, ...),
+    formatted only through the cell tables; with ``extra`` set it returns
+    ``(rows, extra)`` and the dict ``extra`` joins the JSON payload.
     Builders look library functions up by their global names at call time,
     so a profiler that rebinds those names sees every call.
     """
@@ -99,17 +83,17 @@ def _emit(args) -> str:
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(cmd.columns)
-        cell = _CSV_BY_TYPE.get
-        writer.writerows([cell(type(v), _csv_cell)(v) for v in row] for row in rows)
+        cell = _CSV.get
+        writer.writerows([cell(type(v), str)(v) for v in row] for row in rows)
         return buf.getvalue()
-    cell = _JSON_BY_TYPE.get
+    cell = _JSON.get
     payload = {
         "meta": {
             "invocation": " ".join(args.invocation),
             "version": __version__,
             "seed": getattr(args, "seed", None),
         },
-        "rows": [{c: cell(type(v), _json_cell)(v) for c, v in zip(cmd.columns, row)} for row in rows],
+        "rows": [{c: cell(type(v), str)(v) for c, v in zip(cmd.columns, row)} for row in rows],
         **extra,
     }
     return json.dumps(payload, indent=2) + "\n"
@@ -124,7 +108,7 @@ def _sized_range(size: int, cap: int, what: str = "nmax") -> range:
 
 
 def _poly_rows(pairs):
-    return [(n, poly.serialize(), poly.coeffs) for n, poly in pairs]
+    return [(n, poly, poly.coeffs) for n, poly in pairs]
 
 
 def _hist_rows(a):
@@ -169,7 +153,7 @@ def _kirillov_rows(a):
     rows.append(("match_kirillov", None, None, report.match_kirillov))
     rows.append(("match_naive", None, None, report.match_naive))
     # Every report field as a JSON cell, except that p stays a number.
-    extra = {"report": {k: _json_cell(v) for k, v in report._asdict().items()} | {"p": report.p}}
+    extra = {"report": {k: _JSON.get(type(v), str)(v) for k, v in report._asdict().items()} | {"p": report.p}}
     return rows, extra
 
 
@@ -191,7 +175,7 @@ _COMMANDS = (
     _Command(
         ("sym", "sweep"), "per-partition dimensions and class sizes", {"--n": _INT},
         ("partition", "dim", "class_size", "ln_dim_sq", "ln_class"),
-        lambda a: [(r.lam.serialize(), *r[1:]) for r in sweep(a.n)],
+        lambda a: sweep(a.n),
     ),
     _Command(
         ("sym", "hist"), "histogram of dims or log data",
@@ -219,7 +203,7 @@ _COMMANDS = (
     _Command(
         ("sym", "plancherel"), "seeded Plancherel samples", {"--n": _INT, "--count": _INT, "--seed": _INT},
         ("index", "shape", "ln_pl"),
-        lambda a: [(k, s.serialize(), pl) for k, (s, pl) in enumerate(sample_plancherel(a.n, a.seed, a.count))],
+        lambda a: [(k, *sample) for k, sample in enumerate(sample_plancherel(a.n, a.seed, a.count))],
     ),
     _Command(
         ("gl", "gow"), "degree-sum polynomials", {"--nmax": _INT}, _POLY_COLUMNS,
@@ -293,19 +277,22 @@ def main(argv=None) -> int:
     except CapExceededError as exc:
         print(f"repstat: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, KeyError) as exc:
+    except ValueError as exc:
         print(f"repstat: invalid request: {exc}", file=sys.stderr)
         return 2
-    except (IntegrityError, AssertionError) as exc:
+    except IntegrityError as exc:
         print(f"repstat: internal invariant violation: {exc}", file=sys.stderr)
         return 4
-    if args.out is None:
-        sys.stdout.write(text)
-        return 0
+    to_file = args.out is not None
     try:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
+        with open(args.out, "w", encoding="utf-8", newline="") if to_file else contextlib.nullcontext(sys.stdout) as fh:
             fh.write(text)
+            fh.flush()
     except OSError as exc:
+        if not to_file:
+            # A closed pipe or full device: point fd 1 at devnull, so the
+            # interpreter's flush at exit does not fail a second time.
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         print(f"repstat: cannot write output: {exc}", file=sys.stderr)
         return 2
     return 0

@@ -1,18 +1,26 @@
 """CLI surface: formats, determinism, exit codes."""
 
+import argparse
 import csv
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 import time
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from repstat import cli
 from repstat.cli import main
-from repstat.partitions import partition_count
+from repstat.partitions import Partition, partition_count
 from repstat.kirillov import OrbitReport
-from repstat.qseries import MAX_CENSUS_Q_BITS, MAX_CLASS_COUNT_N, MAX_GAUSS_ORDER, MAX_POLY_N, MAX_RATIO_BITS
+from repstat.qseries import (
+    MAX_CENSUS_Q_BITS, MAX_CLASS_COUNT_N, MAX_GAUSS_ORDER, MAX_POLY_N, MAX_RATIO_BITS, QPolynomial,
+)
 from repstat.rsk import MAX_PLANCHEREL_CELLS, MAX_PLANCHEREL_N
 from repstat.symstats import MAX_HIST_BINS, MAX_SWEEP_N
 
@@ -26,6 +34,27 @@ def run_cli(capsys, *argv):
 def parse_csv(text):
     rows = list(csv.reader(io.StringIO(text)))
     return rows[0], rows[1:]
+
+
+def sweep_child(stdout, n=26):
+    """``repstat sym sweep --n N`` in a fresh interpreter; at n = 26 it prints 205 KB, more than a pipe buffer holds.
+
+    Stdout keeps its default buffering, so text the failed write leaves in
+    the buffer would meet the interpreter's flush at exit.
+    """
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(cli.__file__).resolve().parents[1])
+    return subprocess.Popen(
+        [sys.executable, "-m", "repstat.cli", "sym", "sweep", "--n", str(n)],
+        stdout=stdout, stderr=subprocess.PIPE, text=True, env=env,
+    )
+
+
+def assert_write_failure(proc):
+    err = proc.stderr.read()
+    assert proc.wait(timeout=60) == 2
+    assert err.startswith("repstat: cannot write output:") and err.count("\n") == 1, err
+    assert "Traceback" not in err and "Exception ignored" not in err
 
 
 class TestSweep:
@@ -88,6 +117,19 @@ class TestDeterminismAndFormats:
             capsys, "gl", "gauss", "--order", "5", "--out", str(tmp_path / "no" / "dir" / "x.csv")
         )
         assert code == 2 and "cannot write" in err
+
+    def test_closed_stdout_pipe(self):
+        proc = sweep_child(subprocess.PIPE)
+        proc.stdout.close()
+        assert_write_failure(proc)
+
+    # n = 3 fits in the stdout buffer, so only the flush inside main can fail.
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs the /dev/full device")
+    @pytest.mark.parametrize("n", [3, 26])
+    def test_full_stdout_device(self, n):
+        with open("/dev/full", "w") as full:
+            proc = sweep_child(full, n)
+        assert_write_failure(proc)
 
 
 GL_CAPS = [
@@ -349,6 +391,11 @@ GOLDEN = [
     ("kirillov --alg ut4 --p 7", "a22719b7eee4d1b6a1f43464ccafcd8a0a40f6e54c5cdaaa40a3a9631d2f6d35", "1af09403416d922dedeba2feec2234209f866b9eb3b0c5a2adcdc9cdb99f18b6"),
     # 20 x 999 stream outputs, hashed from the one-draw-per-step shuffle.
     ("sym plancherel --n 1000 --count 20 --seed 11", "95915ce21c4ab7e3f5948beca238d2ca1889073599067209ec1c74e590aead96", "5418bac6fe27bb0f7eb8d65acb5a6790113021b8f6df4c13a6687ac10c8f72cf"),
+    # Benchmark sizes of the Fraction cells and of the polynomial and
+    # coefficient-tuple cells, hashed before every cell went through one
+    # table per format; the benchmark compares real columns only to 1e-11.
+    ("gl ratio --nmax 40 --q 7", "0b01ece074bbd036fc6b4c3e31b12372056ec89eb5cb88a131baea8c4ab9d513", "a3626a2a85a5597c33e0786824675d623021262e87bd8b78405b33567fddf747"),
+    ("gl classes --nmax 60", "71fe617efc2ef37d90f010f1055874e8bb298a7325422ef5c60b19be5c1b85d1", "fab5a72d410b3004730042a9915cdaacb55b9770583ce92d21d40b1c6e0dcd79"),
 ]
 
 
@@ -373,3 +420,71 @@ class TestGolden:
         code, out, _ = run_cli(capsys, "sym", "sweep", "--n", "4")
         assert code == 0 and calls == [(4,)]
         assert len(parse_csv(out)[1]) == partition_count(4)
+
+    def test_every_command_has_a_golden_entry(self):
+        pinned = {tuple(argv.split()) for argv, *_ in GOLDEN}
+        missing = [cmd.path for cmd in cli._COMMANDS if not any(a[: len(cmd.path)] == cmd.path for a in pinned)]
+        assert missing == []
+
+
+# One value of every type the cell tables hold: floats at the edges of
+# %.12g, a bool beside an int, a partition past the digit table.
+CELLS = (
+    1e-05, 1e20, 123456789012.0, -0.0, True, 1, None, Fraction(1, 3),
+    (1, (0.5, None, False), "a b"), [Fraction(2, 3), -7], Partition([100, 1]), QPolynomial(),
+)
+# As the isinstance chains that the tables replaced rendered them, with the
+# partition and the polynomial serialized first as the row builders then did.
+CELLS_CSV = (
+    "c0,c1,c2,c3,c4,c5,c6,c7,c8,c9,c10,c11\n"
+    '1e-05,1e+20,123456789012,-0,true,1,,0.333333333333,1 0.5  false a b,0.666666666667 -7,"[100,1]",0\n'
+)
+CELLS_JSON_ROW = """{
+      "c0": 1e-05,
+      "c1": 1e+20,
+      "c2": 123456789012.0,
+      "c3": -0.0,
+      "c4": true,
+      "c5": "1",
+      "c6": null,
+      "c7": 0.333333333333,
+      "c8": [
+        "1",
+        [
+          0.5,
+          null,
+          false
+        ],
+        "a b"
+      ],
+      "c9": [
+        0.666666666667,
+        "-7"
+      ],
+      "c10": "[100,1]",
+      "c11": "0"
+    }"""
+
+
+def _rows(argv):
+    args = cli.build_parser().parse_args(argv)
+    return args.cmd.rows(args)[0] if args.cmd.extra else args.cmd.rows(args)
+
+
+class TestCellTables:
+    def test_every_type_renders_as_before(self):
+        cmd = cli._Command(("x",), "", {}, tuple(f"c{i}" for i in range(len(CELLS))), lambda a: [CELLS])
+        emit = lambda fmt: cli._emit(argparse.Namespace(cmd=cmd, format=fmt, invocation=["x"]))
+        assert emit("csv") == CELLS_CSV
+        assert emit("json").endswith('\n  },\n  "rows": [\n    ' + CELLS_JSON_ROW + "\n  ]\n}\n")
+
+    def test_golden_cells_have_table_entries(self):
+        # No cell of a real table may reach the str fallback unnoticed.
+        seen, todo = set(), [v for argv, *_ in GOLDEN for row in _rows(argv.split()) for v in row]
+        while todo:
+            v = todo.pop()
+            seen.add(type(v))
+            if type(v) in (tuple, list):
+                todo.extend(v)
+        assert {Fraction, Partition, QPolynomial, tuple, float, bool, type(None)} <= seen
+        assert seen - set(cli._CSV) == set() and seen - set(cli._JSON) == set()
