@@ -4,12 +4,15 @@ Partitions of n index both the conjugacy classes and the irreducible
 representations of the symmetric group S_n, so everything downstream is
 driven by the enumeration order fixed here (reverse-lexicographic, from
 (n) down to (1,...,1)).
+
+A Partition is a validated tuple, equal to the plain tuple of its parts;
+_trusted_partition wraps parts weakly decreasing by construction unchecked.
 """
 
 from __future__ import annotations
 
 from operator import lt
-from typing import Iterator
+from typing import Iterable, Iterator
 
 # Decimal strings of the parts serialize looks up instead of formatting.
 # Sweep parts stay below 51 and Plancherel parts at n = 1000 below about
@@ -17,60 +20,50 @@ from typing import Iterator
 _DIGITS = tuple(map(str, range(100)))
 
 
-class Partition:
-    """A weakly decreasing sequence of positive integers.
+class Partition(tuple):
+    """A weakly decreasing tuple of positive integers.
 
-    The empty partition is the unique partition of 0.  Instances are
-    immutable and hashable; ``n`` caches the sum of the parts.
+    The empty partition is the unique partition of 0.  A Partition is the
+    tuple of its parts, validated once on construction: it equals, hashes
+    and slices like that plain tuple.  ``n`` is the sum of the parts and
+    ``parts`` the partition itself.
     """
 
-    __slots__ = ("parts", "n")
+    __slots__ = ()
 
-    def __init__(self, parts=()):
+    def __new__(cls, parts=()):
         parts = tuple(map(int, parts))
         if parts and parts[-1] < 1:
             raise ValueError(f"parts must be positive: {parts}")
         if any(map(lt, parts, parts[1:])):
             raise ValueError(f"parts must be weakly decreasing: {parts}")
-        self.parts = parts
-        self.n = sum(parts)
+        return tuple.__new__(cls, parts)
 
-    def __len__(self) -> int:
-        return len(self.parts)
+    @property
+    def n(self) -> int:
+        return sum(self)
 
-    def __getitem__(self, i):
-        return self.parts[i]
-
-    def __iter__(self):
-        return iter(self.parts)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Partition) and self.parts == other.parts
-
-    def __hash__(self) -> int:
-        return hash(self.parts)
+    @property
+    def parts(self) -> Partition:
+        return self
 
     def __repr__(self) -> str:
-        return f"Partition({list(self.parts)})"
+        return f"Partition({list(self)})"
 
     def serialize(self) -> str:
         """Bracketed comma-separated parts, e.g. ``[5,2]``."""
-        parts = self.parts
-        if parts and parts[0] >= len(_DIGITS):
-            return "[" + ",".join(map(str, parts)) + "]"
-        return "[" + ",".join([_DIGITS[v] for v in parts]) + "]"
+        if self and self[0] >= len(_DIGITS):
+            return "[" + ",".join(map(str, self)) + "]"
+        return "[" + ",".join([_DIGITS[v] for v in self]) + "]"
 
 
-def _trusted_partition(parts: tuple[int, ...], n: int) -> Partition:
-    """Partition of n from a tuple already known to be positive and weakly decreasing.
+def _trusted_partition(parts: Iterable[int]) -> Partition:
+    """Partition from parts that are positive and weakly decreasing by construction.
 
     For parts built by the library's own walks and insertions; skips the
-    checks of Partition.__init__, which would only confirm them.
+    checks of Partition.__new__, which would only confirm them.
     """
-    lam = object.__new__(Partition)
-    lam.parts = parts
-    lam.n = n
-    return lam
+    return tuple.__new__(Partition, parts)
 
 
 def _partition_tuples(n: int) -> Iterator[tuple[int, ...]]:
@@ -153,10 +146,10 @@ def partition_count(n: int) -> int:
 
 def conjugate(lam: Partition) -> Partition:
     """Transpose of the Young diagram: lambda'_j = #{i : lambda_i >= j}."""
-    if not lam.parts:
+    if not lam:
         return Partition()
-    cols = [0] * lam.parts[0]
-    for v in lam.parts:
+    cols = [0] * lam[0]
+    for v in lam:
         for j in range(v):
             cols[j] += 1
     return Partition(cols)
@@ -168,8 +161,8 @@ def hook_lengths(lam: Partition) -> list[list[int]]:
     Returned ragged matrix has the same shape as the diagram; every entry
     is at least 1 and the corner box (1,1) carries lam_1 + lam'_1 - 1.
     """
-    conj = conjugate(lam).parts
+    conj = conjugate(lam)
     return [
-        [lam.parts[i] - i + conj[j] - j - 1 for j in range(lam.parts[i])]
-        for i in range(len(lam.parts))
+        [lam[i] - i + conj[j] - j - 1 for j in range(lam[i])]
+        for i in range(len(lam))
     ]

@@ -157,7 +157,7 @@ def rsk_shape(perm) -> Partition:
         else:
             rows.append([x])
     # Row lengths of a tableau are weakly decreasing.
-    return _trusted_partition(tuple(map(len, rows)), n)
+    return _trusted_partition(map(len, rows))
 
 
 def sample_plancherel(

@@ -126,7 +126,7 @@ def dimension(lam: Partition) -> int:
     The division is exact by theorem; a nonzero remainder is reported as
     an internal defect rather than silently truncated.
     """
-    d, rem = divmod(factorial(lam.n), _shape_products(lam.parts)[0])
+    d, rem = divmod(factorial(lam.n), _shape_products(lam)[0])
     if rem:
         raise IntegrityError(f"hook product does not divide n! for {lam}")
     return d
@@ -137,7 +137,7 @@ def class_size(lam: Partition) -> int:
 
     n! / prod_i (i^a_i * a_i!) where a_i is the multiplicity of part i.
     """
-    return factorial(lam.n) // _shape_products(lam.parts)[1]
+    return factorial(lam.n) // _shape_products(lam)[1]
 
 
 def involution_count(n: int) -> int:
@@ -170,6 +170,12 @@ class DimRecord(NamedTuple):
 
 @lru_cache(maxsize=1)
 def _sweep_records(n: int) -> tuple[DimRecord, ...]:
+    """Every DimRecord of n in enumeration order, refusing a bad n before any walk.
+
+    lru_cache keeps only successful returns, so a refused n leaves the
+    cached level in place.
+    """
+    _check_sweep_n(n)
     fact = factorial(n)
     records = []
     # A node is a stack of rows, bottom-up: (parts, top, depth, rest,
@@ -191,9 +197,9 @@ def _sweep_records(n: int) -> tuple[DimRecord, ...]:
             if rem:
                 raise IntegrityError(f"hook product does not divide n! for {[v, *parts]}")
             c = fact // z
-            records.append(DimRecord(_trusted_partition((v, *parts), n), d, c, 2.0 * ln_big(d), ln_big(c)))
-    # The parts tuples are distinct, so this is the enumeration's reverse-lex order.
-    records.sort(key=attrgetter("lam.parts"), reverse=True)
+            records.append(DimRecord(_trusted_partition((v, *parts)), d, c, 2.0 * ln_big(d), ln_big(c)))
+    # The partitions are distinct tuples, so this is the enumeration's reverse-lex order.
+    records.sort(key=attrgetter("lam"), reverse=True)
     sum_dim = sum(rec.dim for rec in records)
     sum_dim_sq = sum(rec.dim * rec.dim for rec in records)
     sum_class = sum(rec.class_size for rec in records)
@@ -213,7 +219,6 @@ def sweep(n: int):
 
     Verifies the three moment identities exactly before yielding anything.
     """
-    _check_sweep_n(n)
     yield from _sweep_records(n)
 
 
@@ -223,7 +228,6 @@ def max_dimension(n: int) -> tuple[int, list[Partition]]:
     The attaining set is closed under conjugation since dim is invariant
     under transposing the diagram.
     """
-    _check_sweep_n(n)
     best = 0
     argmax: list[Partition] = []
     for rec in _sweep_records(n):
@@ -332,12 +336,12 @@ class IntervalCounts(NamedTuple):
 def interval_counts(n: int, alpha: float, beta: float) -> IntervalCounts:
     if not 0.0 <= alpha < beta <= 1.0:
         raise ValueError(f"need 0 <= alpha < beta <= 1, got alpha={alpha}, beta={beta}")
-    _check_sweep_n(n)
+    records = _sweep_records(n)
     scale = n * math.log(n)
     lo, hi = alpha * scale, beta * scale
     count_a = 0
     count_b = 0
-    for rec in _sweep_records(n):
+    for rec in records:
         if lo <= rec.log_dim_sq <= hi:
             count_a += 1
         if lo <= rec.log_class <= hi:
@@ -353,7 +357,7 @@ def layer_sums(n: int, k: int) -> tuple[float, float]:
     records = _sweep_records(n)
     # Largest parts fall from n to 1 in enumeration order, so layer k is
     # one contiguous block; it is summed in that order.
-    key = lambda rec: -rec.lam.parts[0]
+    key = lambda rec: -rec.lam[0]
     a = 0.0
     b = 0.0
     for i in range(bisect_left(records, -k, key=key), bisect_right(records, -k, key=key)):
@@ -397,7 +401,8 @@ def histogram(values, bins: int) -> Histogram:
     maximum goes to the last bin.  Constant data degenerates to a single
     bin spanning a unit interval around the value, so the count total is
     always conserved.  bins is checked before values is consumed, so a
-    refused request costs nothing even when values is a lazy sweep.
+    refused request costs nothing even when values is a lazy sweep.  A
+    nan or infinite value, or a range past the float maximum, is refused.
     """
     if bins < 1:
         raise ValueError(f"bins must be at least 1, got {bins}")
@@ -407,17 +412,14 @@ def histogram(values, bins: int) -> Histogram:
         raise ValueError("histogram needs at least one value")
     lo = min(values)
     hi = max(values)
+    if not (all(map(math.isfinite, values)) and math.isfinite(hi - lo)):
+        raise ValueError("histogram needs finite values whose range fits a float")
     if lo == hi:
         return Histogram((lo - 0.5, lo + 0.5), (len(values),))
     edges = [lo + (hi - lo) * i / bins for i in range(bins + 1)]
     edges[-1] = hi
     counts = [0] * bins
     for v in values:
-        idx = min(int((v - lo) / (hi - lo) * bins), bins - 1)
-        # Repair float placement error so the documented edge rule holds.
-        while idx > 0 and v < edges[idx]:
-            idx -= 1
-        while idx < bins - 1 and v >= edges[idx + 1]:
-            idx += 1
-        counts[idx] += 1
+        # The edges are monotone, so bisection places v by the rule above.
+        counts[min(bisect_right(edges, v) - 1, bins - 1)] += 1
     return Histogram(tuple(edges), tuple(counts))

@@ -1,17 +1,21 @@
 """Partition enumeration, counting, conjugation, hooks."""
 
+import copy
 import math
+import pickle
 
 import pytest
 from hypothesis import given, strategies as st
 
 from repstat.partitions import (
     Partition,
+    _trusted_partition,
     conjugate,
     enumerate_partitions,
     hook_lengths,
     partition_count,
 )
+from repstat.symstats import _sweep_records
 
 
 def _partitions_brute(n, max_part=None):
@@ -53,6 +57,33 @@ class TestPartitionType:
         assert Partition([100, 99, 10, 1]).serialize() == "[100,99,10,1]"
         assert Partition([12345]).serialize() == "[12345]"
         assert Partition().serialize() == "[]"
+
+    def test_is_a_slotted_tuple(self):
+        assert issubclass(Partition, tuple)
+        assert not hasattr(Partition([5, 2]), "__dict__")
+
+    def test_equals_its_plain_tuple(self):
+        lam = Partition([5, 2])
+        assert lam == (5, 2) and (5, 2) == lam
+        assert hash(lam) == hash((5, 2))
+
+    def test_slice_is_plain_tuple(self):
+        head = Partition([3, 2, 1])[1:]
+        assert type(head) is tuple and head == (2, 1)
+
+    @pytest.mark.parametrize("dup", [copy.copy, copy.deepcopy, lambda v: pickle.loads(pickle.dumps(v))])
+    def test_copies_go_through_validation(self, dup):
+        back = dup(Partition([5, 2]))
+        assert type(back) is Partition and back == (5, 2)
+        # A round trip rebuilds through __new__, which refuses unchecked parts.
+        with pytest.raises(ValueError, match="weakly decreasing"):
+            dup(_trusted_partition((1, 2)))
+
+    def test_sweep_records_are_their_own_parts(self):
+        for n in range(1, 16):
+            for rec in _sweep_records(n):
+                assert rec.lam.parts is rec.lam
+                assert rec.lam.n == n
 
 
 class TestEnumerate:

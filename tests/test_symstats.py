@@ -13,6 +13,7 @@ from pathlib import Path
 
 import mpmath
 import pytest
+from hypothesis import given, strategies as st
 
 import repstat
 from repstat import symstats
@@ -22,6 +23,7 @@ from repstat.partitions import (
 )
 from repstat.symstats import (
     MAX_HIST_BINS,
+    MAX_SWEEP_N,
     CapExceededError,
     IntegrityError,
     _sweep_records,
@@ -173,6 +175,20 @@ class TestSweep:
         with pytest.raises(CapExceededError) as err:
             list(sweep(51))
         assert "50" in str(err.value)
+
+    @pytest.mark.parametrize("n, error", [(0, ValueError), (-1, ValueError), (MAX_SWEEP_N + 1, CapExceededError)])
+    def test_records_refuse_bad_n(self, n, error):
+        _sweep_records.cache_clear()
+        with pytest.raises(error):
+            _sweep_records(n)
+        assert _sweep_records.cache_info().currsize == 0
+        # A refused n leaves the cached level in place.
+        _sweep_records(5)
+        with pytest.raises(error):
+            _sweep_records(n)
+        before = _sweep_records.cache_info()
+        _sweep_records(5)
+        assert _sweep_records.cache_info().hits == before.hits + 1
 
     def test_n20_length_and_identity(self):
         recs = list(sweep(20))
@@ -515,6 +531,12 @@ class TestHistogram:
         with pytest.raises(ValueError):
             histogram([], 3)
 
+    @pytest.mark.parametrize("values", [[math.nan, 1.0], [1.0, math.nan, 0.0], [math.inf, 0.0], [-1e308, 1e308]])
+    def test_rejects_nonfinite_range(self, values):
+        # Edges over such data would be nan or inf, and bisection would bin silently.
+        with pytest.raises(ValueError, match="finite"):
+            histogram(values, 2)
+
     def test_bins_cap(self):
         assert len(histogram([0.0, 1.0], MAX_HIST_BINS).counts) == MAX_HIST_BINS
 
@@ -524,6 +546,21 @@ class TestHistogram:
 
         with pytest.raises(CapExceededError, match="bins=10001 exceeds the cap 10000"):
             histogram(values(), MAX_HIST_BINS + 1)
+
+    @given(
+        st.lists(st.floats(-1e300, 1e300), min_size=1, max_size=60),
+        st.integers(1, 500),
+    )
+    def test_counts_follow_edge_rule(self, values, bins):
+        hist = histogram(values, bins)
+        if len(hist.counts) == 1:
+            assert hist.counts == (len(values),)
+            return
+        expected = [0] * bins
+        for v in values:
+            # The last edge at or below v opens its bin; the maximum goes to the last bin.
+            expected[max(i for i in range(bins) if hist.bin_edges[i] <= v)] += 1
+        assert hist.counts == tuple(expected)
 
     def test_edges_strictly_increasing(self):
         for bins in (1, 3, 7):
