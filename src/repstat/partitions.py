@@ -11,7 +11,7 @@ _trusted_partition wraps parts weakly decreasing by construction unchecked.
 
 from __future__ import annotations
 
-from operator import lt
+from operator import index, lt
 from typing import Iterable, Iterator
 
 # Decimal strings of the parts serialize looks up instead of formatting.
@@ -32,7 +32,7 @@ class Partition(tuple):
     __slots__ = ()
 
     def __new__(cls, parts=()):
-        parts = tuple(map(int, parts))
+        parts = tuple(map(index, parts))
         if parts and parts[-1] < 1:
             raise ValueError(f"parts must be positive: {parts}")
         if any(map(lt, parts, parts[1:])):
@@ -66,82 +66,51 @@ def _trusted_partition(parts: Iterable[int]) -> Partition:
     return tuple.__new__(Partition, parts)
 
 
-def _partition_tuples(n: int) -> Iterator[tuple[int, ...]]:
-    """Every partition of n as a plain tuple, in reverse-lexicographic order.
-
-    Algorithm ZS1 of Zoghbi and Stojmenovic: ``x[:m]`` is the current
-    partition, ``x[h]`` its last part above 1 and every entry after
-    ``x[h]`` is 1, so each step rewrites only ``x[h]`` and what follows.
-    """
-    if n < 0:
-        raise ValueError(f"n must be nonnegative, got {n}")
-    if n == 0:
-        yield ()
-        return
-    x = [1] * n
-    x[0] = n
-    m, h = 1, 0
-    yield (n,)
-    while x[0] != 1:
-        if x[h] == 2:  # (..., 2, 1^t) -> (..., 1, 1, 1^t)
-            m += 1
-            x[h] = 1
-            h -= 1
-        else:  # decrement x[h] and refill the tail with parts of that size
-            r = x[h] - 1
-            t = m - h
-            x[h] = r
-            while t >= r:
-                h += 1
-                x[h] = r
-                t -= r
-            if t == 0:
-                m = h + 1
-            else:
-                m = h + 2
-                if t > 1:
-                    h += 1
-                    x[h] = t
-        yield tuple(x[:m])
-
-
 def enumerate_partitions(n: int) -> Iterator[Partition]:
     """Yield every partition of n in reverse-lexicographic order.
 
     Starts at (n), ends at (1,...,1); n = 0 yields exactly the empty
-    partition.  The stream has length partition_count(n), which the test
-    suite checks against the independent pentagonal recurrence.
-    """
-    yield from map(Partition, _partition_tuples(n))
-
-
-_pcount = [1]  # dense table of p(0), p(1), ...
-
-
-def partition_count(n: int) -> int:
-    """p(n) by Euler's pentagonal-number recurrence, memoized densely.
-
-    Independent of enumerate_partitions, so the two can cross-check
-    each other.
+    partition.  A depth-first walk appends parts no larger than the last
+    one and pops the largest next part first.  The stream has length
+    partition_count(n), which the test suite checks against the
+    independent pentagonal recurrence.
     """
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
-    while len(_pcount) <= n:
-        m = len(_pcount)
+    stack = [((), n)]
+    while stack:
+        parts, rest = stack.pop()
+        if not rest:
+            yield Partition(parts)
+            continue
+        top = min(parts[-1], rest) if parts else rest
+        stack.extend(((*parts, v), rest - v) for v in range(1, top + 1))
+
+
+def partition_count(n: int) -> int:
+    """p(n) by Euler's pentagonal-number recurrence over p(0), ..., p(n).
+
+    The table lives only for the call.  Independent of
+    enumerate_partitions, so the two can cross-check each other.
+    """
+    if n < 0:
+        raise ValueError(f"n must be nonnegative, got {n}")
+    p = [1]
+    for m in range(1, n + 1):
         total = 0
         k = 1
         while True:
             g1 = m - k * (3 * k - 1) // 2
             if g1 < 0:
                 break
-            term = _pcount[g1]
+            term = p[g1]
             g2 = g1 - k  # m - k(3k+1)/2
             if g2 >= 0:
-                term += _pcount[g2]
+                term += p[g2]
             total += term if k % 2 == 1 else -term
             k += 1
-        _pcount.append(total)
-    return _pcount[n]
+        p.append(total)
+    return p[n]
 
 
 def conjugate(lam: Partition) -> Partition:

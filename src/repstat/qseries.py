@@ -15,6 +15,7 @@ a growing table rather than from a series product.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import index
 from typing import NamedTuple
 
 from .symstats import IntegrityError, _check_cap
@@ -44,7 +45,7 @@ class QPolynomial:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs=()):
-        c = [int(v) for v in coeffs]
+        c = list(map(index, coeffs))
         while c and c[-1] == 0:
             c.pop()
         self.coeffs = tuple(c)

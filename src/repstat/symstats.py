@@ -16,16 +16,18 @@ depth-first walk.  By the hook-length formula (Frame, Robinson and Thrall
 keep theirs: each step multiplies the carried hook product by the new
 row's hooks (_top_row), and the carried centralizer order by v times the
 run length of v.  Each leaf is one record, and the records are sorted
-once into reverse-lexicographic order.  dimension and class_size walk a
-single partition with the same step.  Only the last swept level is
-cached; max_dimension, vk_ratio, fraction_near_max, layer_sums and
-interval_counts reuse it.
+once into reverse-lexicographic order.  dimension walks a single
+partition with the same row step; class_size takes n! over the
+centralizer order straight from the multiplicities of the parts.  Only
+the last swept level is cached; max_dimension, vk_ratio,
+fraction_near_max, layer_sums and interval_counts reuse it.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial, perm
@@ -98,25 +100,21 @@ def _top_row(v: int, top: int, depth: int, segments) -> int:
     return prod
 
 
-def _shape_products(parts: tuple[int, ...]) -> tuple[int, int]:
-    """(hook product, centralizer order prod_v v^a * a!) of one partition.
+def _hook_product(parts: tuple[int, ...]) -> int:
+    """Product of all hook lengths of one partition.
 
-    Lays the rows from the bottom up, as the sweep does; a is the run
-    length of the part v.
+    Lays the rows from the bottom up, as the sweep does.
     """
-    hooks = central = 1
-    top = depth = run = 0
+    hooks = 1
+    top = depth = 0
     segments = ()
     for v in reversed(parts):
         hooks *= _top_row(v, top, depth, segments)
         depth += 1
-        if v == top:
-            run += 1
-        else:
+        if v != top:
             segments += ((top, v, depth),)
-            top, run = v, 1
-        central *= v * run
-    return hooks, central
+            top = v
+    return hooks
 
 
 def dimension(lam: Partition) -> int:
@@ -126,7 +124,7 @@ def dimension(lam: Partition) -> int:
     The division is exact by theorem; a nonzero remainder is reported as
     an internal defect rather than silently truncated.
     """
-    d, rem = divmod(factorial(lam.n), _shape_products(lam)[0])
+    d, rem = divmod(factorial(lam.n), _hook_product(lam))
     if rem:
         raise IntegrityError(f"hook product does not divide n! for {lam}")
     return d
@@ -137,7 +135,8 @@ def class_size(lam: Partition) -> int:
 
     n! / prod_i (i^a_i * a_i!) where a_i is the multiplicity of part i.
     """
-    return factorial(lam.n) // _shape_products(lam)[1]
+    central = math.prod(v**a * factorial(a) for v, a in Counter(lam).items())
+    return factorial(lam.n) // central
 
 
 def involution_count(n: int) -> int:

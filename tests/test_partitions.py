@@ -3,6 +3,7 @@
 import copy
 import math
 import pickle
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
@@ -43,6 +44,14 @@ class TestPartitionType:
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             Partition([2, 0])
+
+    def test_rejects_non_integral_parts(self):
+        # Entries are taken by operator.index, never truncated by int().
+        for bad in ([2.7, 1], [2.0], ["3"], [Fraction(2, 1)]):
+            with pytest.raises(TypeError):
+                Partition(bad)
+        assert Partition([2, True]) == (2, 1)
+        assert all(type(v) is int for v in Partition([True, True]))
 
     def test_empty_is_partition_of_zero(self):
         assert Partition().n == 0
@@ -104,6 +113,12 @@ class TestEnumerate:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             list(enumerate_partitions(-1))
+
+    def test_lazy(self):
+        # p(10000) has over a hundred digits: only a lazy stream returns these.
+        stream = enumerate_partitions(10_000)
+        assert next(stream) == (10_000,)
+        assert next(stream) == (9999, 1)
 
 
 class TestPartitionCount:

@@ -69,6 +69,13 @@ class TestQPolynomial:
         assert QPolynomial([0, 0]).coeffs == ()
         assert QPolynomial().degree == -1
 
+    def test_non_integral_coefficients_refused(self):
+        for bad in ([0.5, 1.9], [1, 2.0], ["3"], [Fraction(4, 1)]):
+            with pytest.raises(TypeError):
+                QPolynomial(bad)
+        assert QPolynomial([True, False, 2]).coeffs == (1, 0, 2)
+        assert all(type(v) is int for v in QPolynomial([True, 2]).coeffs)
+
     def test_arithmetic(self):
         p = (P_Q - P_ONE) * (P_Q + P_ONE)
         assert p == QPolynomial([-1, 0, 1])

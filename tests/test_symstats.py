@@ -229,6 +229,14 @@ class TestSweepKernel:
                 denom = math.prod(v**a * factorial(a) for v, a in Counter(rec.lam.parts).items())
                 assert rec.class_size == fact // denom
 
+    def test_sweep_matches_per_partition_functions(self):
+        # dimension shares only the row step with the sweep, and class_size
+        # nothing at all.
+        for n in range(1, 26):
+            for rec in _sweep_records(n):
+                assert dimension(rec.lam) == rec.dim
+                assert class_size(rec.lam) == rec.class_size
+
     def test_enumeration_unchanged(self):
         for n in range(0, 21):
             got = list(enumerate_partitions(n))
@@ -242,7 +250,7 @@ class TestSweepKernel:
     @pytest.mark.parametrize("n", [30, 40])
     def test_sorted_walk_is_enumeration_order(self, n):
         # The walk's leaves are sorted once; layer_sums' contiguous blocks
-        # rest on this being exactly the ZS1 reverse-lex order.
+        # rest on this being exactly enumerate_partitions' reverse-lex order.
         recs = list(sweep(n))
         assert [rec.lam for rec in recs] == list(enumerate_partitions(n))
         assert {rec.lam.n for rec in recs} == {n}
