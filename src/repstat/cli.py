@@ -99,12 +99,12 @@ def _emit(args) -> str:
     return json.dumps(payload, indent=2) + "\n"
 
 
-def _sized_range(size: int, cap: int, what: str = "nmax") -> range:
-    """1..size, refusing a size below 1 or above cap before any row is computed."""
-    if size < 1:
-        raise ValueError(f"{what} must be at least 1, got {size}")
-    _check_cap(size, cap, what)
-    return range(1, size + 1)
+def _sized_range(nmax: int, cap: int) -> range:
+    """1..nmax, refusing an nmax below 1 or above cap before any row is computed."""
+    if nmax < 1:
+        raise ValueError(f"nmax must be at least 1, got {nmax}")
+    _check_cap(nmax, cap, "nmax")
+    return range(1, nmax + 1)
 
 
 def _poly_rows(pairs):
@@ -113,7 +113,8 @@ def _poly_rows(pairs):
 
 def _hist_rows(a):
     value = {"dim": lambda r: float(r.dim), "dimsq": lambda r: r.log_dim_sq, "class": lambda r: r.log_class}[a.what]
-    edges, counts = histogram((value(r) for r in sweep(a.n)), a.bins)
+    # sweep(n) runs at the generator's first step, after histogram has checked bins.
+    edges, counts = histogram((value(r) for n in (a.n,) for r in sweep(n)), a.bins)
     return list(zip(edges, edges[1:], counts))
 
 
@@ -194,7 +195,7 @@ _COMMANDS = (
     _Command(
         ("sym", "layers"), "log sums grouped by largest part", {"--n": _INT},
         ("k", "sum_ln_dim_sq", "sum_ln_class"),
-        lambda a: [(k, *layer_sums(a.n, k)) for k in _sized_range(a.n, MAX_SWEEP_N, "n")],
+        lambda a: layer_sums(a.n),
     ),
     _Command(
         ("sym", "maxdim"), "max dimension and related curves", {"--nmax": _INT},

@@ -18,15 +18,15 @@ row's hooks (_top_row), and the carried centralizer order by v times the
 run length of v.  Each leaf is one record, and the records are sorted
 once into reverse-lexicographic order.  dimension walks a single
 partition with the same row step; class_size takes n! over the
-centralizer order straight from the multiplicities of the parts.  Only
-the last swept level is cached; max_dimension, vk_ratio,
-fraction_near_max, layer_sums and interval_counts reuse it.
+centralizer order straight from the multiplicities of the parts.
+sweep(n) returns that level and caches only the last one; every S_n
+table (layer_sums, interval_counts, max_dimension, ...) reads it.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
@@ -167,12 +167,18 @@ class DimRecord(NamedTuple):
     log_class: float  # ln(class size), nats
 
 
-@lru_cache(maxsize=1)
-def _sweep_records(n: int) -> tuple[DimRecord, ...]:
-    """Every DimRecord of n in enumeration order, refusing a bad n before any walk.
+def _check_sweep_n(n: int) -> None:
+    if n < 1:
+        raise ValueError(f"n must be at least 1, got {n}")
+    _check_cap(n, MAX_SWEEP_N, "n")
 
-    lru_cache keeps only successful returns, so a refused n leaves the
-    cached level in place.
+
+@lru_cache(maxsize=1)
+def sweep(n: int) -> tuple[DimRecord, ...]:
+    """One DimRecord per partition of n in enumeration order, moment identities verified.
+
+    A bad n is refused before any walk; lru_cache keeps only successful
+    returns, so a refused n leaves the cached level in place.
     """
     _check_sweep_n(n)
     fact = factorial(n)
@@ -207,20 +213,6 @@ def _sweep_records(n: int) -> tuple[DimRecord, ...]:
     return tuple(records)
 
 
-def _check_sweep_n(n: int) -> None:
-    if n < 1:
-        raise ValueError(f"n must be at least 1, got {n}")
-    _check_cap(n, MAX_SWEEP_N, "n")
-
-
-def sweep(n: int):
-    """One DimRecord per partition of n, in enumeration order.
-
-    Verifies the three moment identities exactly before yielding anything.
-    """
-    yield from _sweep_records(n)
-
-
 def max_dimension(n: int) -> tuple[int, list[Partition]]:
     """Largest irreducible dimension of S_n and every partition attaining it.
 
@@ -229,7 +221,7 @@ def max_dimension(n: int) -> tuple[int, list[Partition]]:
     """
     best = 0
     argmax: list[Partition] = []
-    for rec in _sweep_records(n):
+    for rec in sweep(n):
         if rec.dim > best:
             best = rec.dim
             argmax = [rec.lam]
@@ -277,7 +269,7 @@ def angle_report(n: int) -> AngleReport:
         sum_dim=inv,
         sum_dim_sq=fact,
         count=pn,
-        cos_sq=float(cos_sq_exact(n)),
+        cos_sq=float(Fraction(inv * inv, pn * fact)),
         log_ratio=log_ratio,
         predicted_log=predicted,
     )
@@ -335,7 +327,7 @@ class IntervalCounts(NamedTuple):
 def interval_counts(n: int, alpha: float, beta: float) -> IntervalCounts:
     if not 0.0 <= alpha < beta <= 1.0:
         raise ValueError(f"need 0 <= alpha < beta <= 1, got alpha={alpha}, beta={beta}")
-    records = _sweep_records(n)
+    records = sweep(n)
     scale = n * math.log(n)
     lo, hi = alpha * scale, beta * scale
     count_a = 0
@@ -348,21 +340,20 @@ def interval_counts(n: int, alpha: float, beta: float) -> IntervalCounts:
     return IntervalCounts(n, alpha, beta, count_a, count_b)
 
 
-def layer_sums(n: int, k: int) -> tuple[float, float]:
-    """Sums of ln(dim^2) and ln(class size) over partitions with largest part k."""
-    _check_sweep_n(n)
-    if not 1 <= k <= n:
-        raise ValueError(f"need 1 <= k <= n, got k={k}")
-    records = _sweep_records(n)
-    # Largest parts fall from n to 1 in enumeration order, so layer k is
-    # one contiguous block; it is summed in that order.
-    key = lambda rec: -rec.lam[0]
-    a = 0.0
-    b = 0.0
-    for i in range(bisect_left(records, -k, key=key), bisect_right(records, -k, key=key)):
-        a += records[i].log_dim_sq
-        b += records[i].log_class
-    return a, b
+def layer_sums(n: int) -> list[tuple[int, float, float]]:
+    """(k, sum of ln(dim^2), sum of ln(class size)) over each layer of largest part k = 1..n.
+
+    One pass over sweep(n), adding with += in enumeration order: sum()
+    rounds differently from Python 3.12 on and would move printed digits.
+    """
+    records = sweep(n)  # refuses a bad n before n sizes the lists below
+    a = [0.0] * (n + 1)
+    b = [0.0] * (n + 1)
+    for rec in records:
+        k = rec.lam[0]
+        a[k] += rec.log_dim_sq
+        b[k] += rec.log_class
+    return [(k, a[k], b[k]) for k in range(1, n + 1)]
 
 
 def fraction_near_max(n: int, threshold) -> tuple[Fraction, bool]:
@@ -376,7 +367,7 @@ def fraction_near_max(n: int, threshold) -> tuple[Fraction, bool]:
     if not 0 < frac < 1:
         raise ValueError(f"threshold must lie strictly between 0 and 1, got {threshold}")
     m, _ = max_dimension(n)
-    near = sum(1 for rec in _sweep_records(n) if rec.dim * frac.denominator >= frac.numerator * m)
+    near = sum(1 for rec in sweep(n) if rec.dim * frac.denominator >= frac.numerator * m)
     c = Fraction(near, partition_count(n))
     bound_ok = 2.0 * ln_fraction(frac * c) <= -0.9 * angle_decay_constant() * math.sqrt(n)
     return c, bound_ok
@@ -400,8 +391,9 @@ def histogram(values, bins: int) -> Histogram:
     maximum goes to the last bin.  Constant data degenerates to a single
     bin spanning a unit interval around the value, so the count total is
     always conserved.  bins is checked before values is consumed, so a
-    refused request costs nothing even when values is a lazy sweep.  A
-    nan or infinite value, or a range past the float maximum, is refused.
+    refused request costs nothing even when values is a generator over a
+    sweep.  A nan or infinite value, a range past the float maximum, or a
+    range too narrow for strictly increasing float edges is refused.
     """
     if bins < 1:
         raise ValueError(f"bins must be at least 1, got {bins}")
@@ -417,6 +409,8 @@ def histogram(values, bins: int) -> Histogram:
         return Histogram((lo - 0.5, lo + 0.5), (len(values),))
     edges = [lo + (hi - lo) * i / bins for i in range(bins + 1)]
     edges[-1] = hi
+    if any(a >= b for a, b in zip(edges, edges[1:])):
+        raise ValueError(f"range [{lo!r}, {hi!r}] is too narrow for {bins} bins of distinct float edges")
     counts = [0] * bins
     for v in values:
         # The edges are monotone, so bisection places v by the rule above.

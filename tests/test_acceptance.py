@@ -29,7 +29,6 @@ from repstat.qseries import (
 )
 from repstat.rsk import estimate_concentration, sample_plancherel
 from repstat.symstats import (
-    _sweep_records,
     angle_decay_constant,
     angle_report,
     class_size,
@@ -39,6 +38,7 @@ from repstat.symstats import (
     interval_counts,
     involution_count,
     plancherel_mass,
+    sweep,
 )
 
 from gl_oracles import symmetric_invertible_count
@@ -69,14 +69,14 @@ def test_criterion_02_identity_suite():
     start = time.monotonic()
     ok = True
     for n in range(1, 41):
-        records = _sweep_records(n)
+        records = sweep(n)
         ok = ok and sum(r.dim for r in records) == involution_count(n)
         ok = ok and sum(r.dim**2 for r in records) == factorial(n)
         ok = ok and sum(r.class_size for r in records) == factorial(n)
-    squares3 = sorted(r.dim**2 for r in _sweep_records(3))
-    classes3 = sorted(r.class_size for r in _sweep_records(3))
-    squares4 = sorted(r.dim**2 for r in _sweep_records(4))
-    classes4 = sorted(r.class_size for r in _sweep_records(4))
+    squares3 = sorted(r.dim**2 for r in sweep(3))
+    classes3 = sorted(r.class_size for r in sweep(3))
+    squares4 = sorted(r.dim**2 for r in sweep(4))
+    classes4 = sorted(r.class_size for r in sweep(4))
     ok = ok and squares3 == [1, 1, 4] and classes3 == [1, 2, 3]
     ok = ok and squares4 == [1, 1, 4, 9, 9] and classes4 == [1, 3, 6, 6, 8]
     elapsed = time.monotonic() - start

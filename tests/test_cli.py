@@ -173,6 +173,12 @@ class TestExitCodes:
         code, _, err = run_cli(capsys, "sym", "sweep", "--n", "60")
         assert code == 3 and "cap" in err
 
+    def test_hist_refuses_bins_before_building_the_level(self, capsys):
+        misses = cli.sweep.cache_info().misses
+        code, out, err = run_cli(capsys, "sym", "hist", "--n", "40", "--bins", str(MAX_HIST_BINS + 1))
+        assert (code, out) == (3, "") and "bins=10001 exceeds the cap 10000" in err
+        assert cli.sweep.cache_info().misses == misses
+
     def test_cap_flag_is_usage_error(self, capsys):
         # The sweep cap is fixed; there is no flag to lower or raise it.
         code, out, err = run_cli(capsys, "sym", "sweep", "--n", "12", "--cap", "12")

@@ -16,7 +16,7 @@ from repstat.partitions import (
     hook_lengths,
     partition_count,
 )
-from repstat.symstats import _sweep_records
+from repstat.symstats import sweep
 
 
 def _partitions_brute(n, max_part=None):
@@ -90,7 +90,7 @@ class TestPartitionType:
 
     def test_sweep_records_are_their_own_parts(self):
         for n in range(1, 16):
-            for rec in _sweep_records(n):
+            for rec in sweep(n):
                 assert rec.lam.parts is rec.lam
                 assert rec.lam.n == n
 

@@ -90,3 +90,15 @@ def test_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def test_acceptance_imports_only_public_names():
+    # The acceptance suite pins the library's public surface, not its internals.
+    private = [
+        f"{stmt.module}.{alias.name}"
+        for stmt in ast.walk(_parse(ACCEPTANCE))
+        if isinstance(stmt, ast.ImportFrom) and (stmt.module or "").startswith("repstat")
+        for alias in stmt.names
+        if alias.name.startswith("_")
+    ]
+    assert private == []

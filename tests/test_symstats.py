@@ -26,7 +26,6 @@ from repstat.symstats import (
     MAX_SWEEP_N,
     CapExceededError,
     IntegrityError,
-    _sweep_records,
     angle_decay_constant,
     angle_report,
     asymptotic_estimates,
@@ -173,22 +172,22 @@ class TestSweep:
 
     def test_cap(self):
         with pytest.raises(CapExceededError) as err:
-            list(sweep(51))
+            sweep(51)
         assert "50" in str(err.value)
 
     @pytest.mark.parametrize("n, error", [(0, ValueError), (-1, ValueError), (MAX_SWEEP_N + 1, CapExceededError)])
     def test_records_refuse_bad_n(self, n, error):
-        _sweep_records.cache_clear()
+        sweep.cache_clear()
         with pytest.raises(error):
-            _sweep_records(n)
-        assert _sweep_records.cache_info().currsize == 0
+            sweep(n)
+        assert sweep.cache_info().currsize == 0
         # A refused n leaves the cached level in place.
-        _sweep_records(5)
+        sweep(5)
         with pytest.raises(error):
-            _sweep_records(n)
-        before = _sweep_records.cache_info()
-        _sweep_records(5)
-        assert _sweep_records.cache_info().hits == before.hits + 1
+            sweep(n)
+        before = sweep.cache_info()
+        sweep(5)
+        assert sweep.cache_info().hits == before.hits + 1
 
     def test_n20_length_and_identity(self):
         recs = list(sweep(20))
@@ -233,7 +232,7 @@ class TestSweepKernel:
         # dimension shares only the row step with the sweep, and class_size
         # nothing at all.
         for n in range(1, 26):
-            for rec in _sweep_records(n):
+            for rec in sweep(n):
                 assert dimension(rec.lam) == rec.dim
                 assert class_size(rec.lam) == rec.class_size
 
@@ -270,9 +269,9 @@ class TestSweepKernel:
 class TestSweepIntegrity:
     @pytest.fixture(autouse=True)
     def cold_cache(self):
-        _sweep_records.cache_clear()
+        sweep.cache_clear()
         yield
-        _sweep_records.cache_clear()
+        sweep.cache_clear()
 
     def test_hook_remainder(self, monkeypatch):
         real = symstats._top_row
@@ -318,14 +317,14 @@ class TestSweepIntegrity:
 
 
 def test_sweep_cache_holds_one_level():
-    _sweep_records.cache_clear()
+    sweep.cache_clear()
     for n in range(1, 31):
         list(sweep(n))
-    assert _sweep_records.cache_info().currsize == 1
+    assert sweep.cache_info().currsize == 1
     max_dimension(20)
-    before = _sweep_records.cache_info()
+    before = sweep.cache_info()
     vk_ratio(20)
-    after = _sweep_records.cache_info()
+    after = sweep.cache_info()
     assert (after.hits, after.misses, after.currsize) == (before.hits + 1, before.misses, 1)
 
 
@@ -439,26 +438,34 @@ class TestIntervals:
 class TestLayerSums:
     def test_largest_part_n(self):
         for n in (5, 9, 14):
-            a, b = layer_sums(n, n)
+            k, a, b = layer_sums(n)[n - 1]
+            assert k == n
             assert a == 0.0
             assert b == pytest.approx(math.log(factorial(n - 1)), rel=1e-12)
 
     def test_five_five(self):
-        _, b = layer_sums(5, 5)
+        _, _, b = layer_sums(5)[4]
         assert b == pytest.approx(math.log(24), rel=1e-12)
 
     def test_layers_partition_the_sums(self):
         n = 12
-        total_a = sum(layer_sums(n, k)[0] for k in range(1, n + 1))
-        total_b = sum(layer_sums(n, k)[1] for k in range(1, n + 1))
+        total_a = sum(a for _, a, _ in layer_sums(n))
+        total_b = sum(b for _, _, b in layer_sums(n))
         ref_a = sum(rec.log_dim_sq for rec in sweep(n))
         ref_b = sum(rec.log_class for rec in sweep(n))
         assert total_a == pytest.approx(ref_a, rel=1e-12)
         assert total_b == pytest.approx(ref_b, rel=1e-12)
 
-    def test_k_out_of_range(self):
-        with pytest.raises(ValueError):
-            layer_sums(5, 6)
+    def test_equals_in_order_sums_of_the_level(self):
+        # Bit-for-bit: each layer adds its records in enumeration order with +=.
+        for n in range(1, 21):
+            rows = {k: [k, 0.0, 0.0] for k in range(1, n + 1)}
+            for rec in sweep(n):
+                rows[rec.lam[0]][1] += rec.log_dim_sq
+                rows[rec.lam[0]][2] += rec.log_class
+            layers = layer_sums(n)
+            assert layers == [tuple(row) for row in rows.values()]
+            assert [k for k, _, _ in layers] == list(range(1, n + 1))
 
 
 class TestFractionNearMax:
@@ -560,10 +567,19 @@ class TestHistogram:
         st.integers(1, 500),
     )
     def test_counts_follow_edge_rule(self, values, bins):
-        hist = histogram(values, bins)
+        try:
+            hist = histogram(values, bins)
+        except ValueError as exc:
+            # Refused only when a bin is a few ulps wide, so that rounding
+            # can merge neighbouring edges.
+            assert "too narrow" in str(exc)
+            lo, hi = min(values), max(values)
+            assert hi - lo <= 16 * bins * math.ulp(max(abs(lo), abs(hi)))
+            return
         if len(hist.counts) == 1:
             assert hist.counts == (len(values),)
             return
+        assert all(a < b for a, b in zip(hist.bin_edges, hist.bin_edges[1:]))
         expected = [0] * bins
         for v in values:
             # The last edge at or below v opens its bin; the maximum goes to the last bin.
@@ -575,3 +591,10 @@ class TestHistogram:
             hist = histogram([0.1, 0.4, 0.40001, 2.5], bins)
             assert all(a < b for a, b in zip(hist.bin_edges, hist.bin_edges[1:]))
             assert sum(hist.counts) == 4
+
+    @pytest.mark.parametrize("values, bins", [([1e16, 1e16 + 2.0], 4), ([0.0, 5e-324], 2)])
+    def test_rejects_range_too_narrow_for_bins(self, values, bins):
+        # Equal-width edges over these ranges round onto each other, which
+        # would put the minimum past the first bin.
+        with pytest.raises(ValueError, match="too narrow for"):
+            histogram(values, bins)
