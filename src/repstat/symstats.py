@@ -406,9 +406,12 @@ def histogram(values, bins: int) -> Histogram:
     if not (all(map(math.isfinite, values)) and math.isfinite(hi - lo)):
         raise ValueError("histogram needs finite values whose range fits a float")
     if lo == hi:
-        return Histogram((lo - 0.5, lo + 0.5), (len(values),))
-    edges = [lo + (hi - lo) * i / bins for i in range(bins + 1)]
-    edges[-1] = hi
+        # One unit-wide bin; past 2^53 its edges round onto the value.
+        bins = 1
+        edges = [lo - 0.5, lo + 0.5]
+    else:
+        edges = [lo + (hi - lo) * i / bins for i in range(bins + 1)]
+        edges[-1] = hi
     if any(a >= b for a, b in zip(edges, edges[1:])):
         raise ValueError(f"range [{lo!r}, {hi!r}] is too narrow for {bins} bins of distinct float edges")
     counts = [0] * bins

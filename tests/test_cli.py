@@ -2,6 +2,7 @@
 
 import argparse
 import csv
+import gc
 import hashlib
 import io
 import json
@@ -42,12 +43,25 @@ def sweep_child(stdout, n=26):
     Stdout keeps its default buffering, so text the failed write leaves in
     the buffer would meet the interpreter's flush at exit.
     """
-    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
-    env["PYTHONPATH"] = str(Path(cli.__file__).resolve().parents[1])
     return subprocess.Popen(
         [sys.executable, "-m", "repstat.cli", "sym", "sweep", "--n", str(n)],
-        stdout=stdout, stderr=subprocess.PIPE, text=True, env=env,
+        stdout=stdout, stderr=subprocess.PIPE, text=True, env=child_env(),
     )
+
+
+def console_script(*argv):
+    """Run ``repstat ARGV`` through run(), as the console script does, in a fresh interpreter."""
+    return subprocess.run(
+        [sys.executable, "-c", "import repstat.cli; repstat.cli.run()", *argv],
+        capture_output=True, text=True, env=child_env(), timeout=60,
+    )
+
+
+def child_env():
+    """The environment with this tree's repstat first and stdout buffering left at its default."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(cli.__file__).resolve().parents[1])
+    return env
 
 
 def assert_write_failure(proc):
@@ -475,6 +489,46 @@ CELLS_JSON_ROW = """{
 def _rows(argv):
     args = cli.build_parser().parse_args(argv)
     return args.cmd.rows(args)[0] if args.cmd.extra else args.cmd.rows(args)
+
+
+class TestConsoleScript:
+    """run(), the ``repstat`` entry, freezes the heap after main; main never does."""
+
+    def test_main_does_not_freeze(self, capsys):
+        before = gc.get_freeze_count()
+        assert run_cli(capsys, "sym", "sweep", "--n", "20")[0] == 0
+        assert gc.get_freeze_count() == before
+
+    @pytest.mark.parametrize("argv, code", [(("--n", "20"), 0), (("--n", "51"), 3)])
+    def test_run_freezes_and_exits_with_main_code(self, monkeypatch, argv, code):
+        monkeypatch.setattr(sys, "argv", ["repstat", "sym", "sweep", *argv])
+        try:
+            with pytest.raises(SystemExit) as exc:
+                cli.run()
+            frozen = gc.get_freeze_count()
+        finally:
+            gc.unfreeze()
+        assert exc.value.code == code and frozen > 0
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (("sym", "sweep", "--n", "20"), 0),
+            (("sym", "sweep", "--n", "20", "--format", "json"), 0),
+            (("sym", "sweep", "--n", "0"), 2),
+            (("sym", "sweep", "--n", "51"), 3),
+        ],
+    )
+    def test_child_matches_main(self, capsys, argv, code):
+        proc = console_script(*argv)
+        expected = run_cli(capsys, *argv)
+        assert expected[0] == code
+        assert (proc.returncode, proc.stdout, proc.stderr) == expected
+
+    def test_child_unwritable_out(self, tmp_path):
+        proc = console_script("sym", "sweep", "--n", "3", "--out", str(tmp_path / "no" / "dir" / "x.csv"))
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr.startswith("repstat: cannot write output:") and proc.stderr.count("\n") == 1
 
 
 class TestCellTables:

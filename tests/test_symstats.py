@@ -592,9 +592,12 @@ class TestHistogram:
             assert all(a < b for a, b in zip(hist.bin_edges, hist.bin_edges[1:]))
             assert sum(hist.counts) == 4
 
-    @pytest.mark.parametrize("values, bins", [([1e16, 1e16 + 2.0], 4), ([0.0, 5e-324], 2)])
+    @pytest.mark.parametrize(
+        "values, bins", [([1e16, 1e16 + 2.0], 4), ([0.0, 5e-324], 2), ([1e17], 3), ([2.0**53], 1)]
+    )
     def test_rejects_range_too_narrow_for_bins(self, values, bins):
         # Equal-width edges over these ranges round onto each other, which
-        # would put the minimum past the first bin.
+        # would put the minimum past the first bin; so do the unit bin's
+        # edges around constant data past 2^53.
         with pytest.raises(ValueError, match="too narrow for"):
             histogram(values, bins)
