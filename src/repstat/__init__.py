@@ -58,7 +58,5 @@ from .kirillov import (
     NilAlgebra,
     OrbitReport,
     UnsupportedCharacteristicError,
-    coadjoint_orbits,
-    conjugacy_classes,
     kirillov_report,
 )

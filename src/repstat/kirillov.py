@@ -20,16 +20,19 @@ with finite algebras", J. Algebra 177, 1995) the coadjoint orbit of f has
 p^rank(B_f) elements, where B_f(x, y) = f([x, y]), and the class of 1 + X
 has p^rank(ad_X) elements.  So the number of orbits of size p^r is the
 number of vectors of rank r divided by p^r.  The diagonal torus keeps both
-ranks and scales coordinate (i, j) by t_i / t_j, so one rank is taken per
-torus orbit: on each support, fix a spanning forest and set its entries
-to 1.  The closures these formulas replace (dense matrix searches and a
-sparse BFS over all p^dim states) are the oracles in tests/kirillov_oracles.py.
+ranks and scales coordinate (i, j) by t_i / t_j, so the ranks are taken
+once per torus orbit: on each support, fix a spanning forest and set its
+entries to 1.  One walk over these representatives takes both ranks of
+each, of B_f and of ad_X, tallied with the representative's weight, and
+the report expands the two histograms {rank: number of orbits} into orbit
+sizes p^r, degrees p^(r/2) and class sizes p^s.  The closures these
+formulas replace (dense matrix searches and a sparse BFS over all p^dim
+states) are the oracles in tests/kirillov_oracles.py.
 """
 
 from __future__ import annotations
 
 from itertools import product
-from math import isqrt
 from typing import NamedTuple
 
 from .symstats import IntegrityError, _check_cap
@@ -149,12 +152,6 @@ def check_prime(alg: NilAlgebra, p: int) -> None:
         )
 
 
-def _check_states(p: int, dim: int) -> None:
-    """Refuse p^dim above MAX_STATES, before the trial-division primality test."""
-    if p > 1:
-        _check_cap(p**dim, MAX_STATES, f"states {p}^{dim}")
-
-
 def _torus_representatives(alg: NilAlgebra, p: int):
     """One vector per diagonal-torus orbit on F_p^dim, with the orbit's size.
 
@@ -209,61 +206,46 @@ def _rank_mod_p(rows: list[list[int]], p: int) -> int:
     return rank
 
 
-def _sizes_from_ranks(alg: NilAlgebra, p: int, entries) -> tuple[int, ...]:
-    """Sorted orbit sizes when the orbit of v has p^rank(M_v) elements.
+def _rank_counts(alg: NilAlgebra, p: int) -> tuple[dict[int, int], dict[int, int]]:
+    """Vectors of each rank of B_f and of ad_X, tallied over one walk.
 
-    M_v is the dim x dim matrix linear in v given by entries: each
-    (row, col, k, c) adds c * v_k to M_v[row][col].  The rank is constant
-    on torus orbits, so it is taken once per torus representative, and
-    the count of vectors of rank r must split into whole orbits of size
-    p^r.  The sizes must partition p^dim.
+    B_f(x, y) = f([x, y]): each triple (a, b, k) of the bracket table sets
+    B_f[a][b] = f_k and B_f[b][a] = -f_k.  The centralizer of I + X is I
+    plus the kernel of ad_X = [X, -], whose column b is sum_a X_a [e_a, e_b]:
+    each triple adds X_a to ad_X[k][b] and -X_b to ad_X[k][a].  Both ranks
+    are constant on torus orbits, so each representative gives both, and
+    each is tallied with the representative's weight.
     """
     dim = alg.dim
-    counts: dict[int, int] = {}
+    form = [e for a, b, k in alg.brackets for e in ((a, b, k, 1), (b, a, k, -1))]
+    ad = [e for a, b, k in alg.brackets for e in ((k, b, a, 1), (k, a, b, -1))]
+    tallies: tuple[dict[int, int], dict[int, int]] = ({}, {})
     for coords, weight in _torus_representatives(alg, p):
-        rows = [[0] * dim for _ in range(dim)]
-        for r, s, k, c in entries:
-            rows[r][s] += c * coords[k]
-        rank = _rank_mod_p(rows, p)
-        counts[rank] = counts.get(rank, 0) + weight
-    sizes: list[int] = []
+        for entries, counts in zip((form, ad), tallies):
+            rows = [[0] * dim for _ in range(dim)]
+            for r, s, k, c in entries:
+                rows[r][s] += c * coords[k]
+            rank = _rank_mod_p(rows, p)
+            counts[rank] = counts.get(rank, 0) + weight
+    return tallies
+
+
+def _orbits_by_rank(counts: dict[int, int], p: int, dim: int) -> dict[int, int]:
+    """{rank: number of orbits}, in ascending rank, when an orbit of rank r has p^r elements.
+
+    The count of vectors of rank r must split into whole orbits of size
+    p^r, and the orbit sizes must partition p^dim.
+    """
+    orbits = {}
     for rank in sorted(counts):
         size = p**rank
-        orbits, rest = divmod(counts[rank], size)
+        orbits[rank], rest = divmod(counts[rank], size)
         if rest:
             raise IntegrityError(f"{counts[rank]} vectors of rank {rank} do not split into orbits of size {size}")
-        sizes += [size] * orbits
-    if sum(sizes) != p**dim:
-        raise IntegrityError(f"orbit sizes sum to {sum(sizes)}, not {p}^{dim}")
-    return tuple(sizes)
-
-
-def coadjoint_orbits(alg: NilAlgebra, p: int) -> tuple[int, ...]:
-    """Orbit sizes of the coadjoint action on all p^dim functionals.
-
-    The orbit of f has p^rank(B_f) elements, where B_f is the form
-    B_f(x, y) = f([x, y]): each triple (a, b, k) of the bracket table sets
-    B_f[a][b] = f_k and B_f[b][a] = -f_k.  The sizes partition p^dim.
-    """
-    _check_states(p, alg.dim)
-    check_prime(alg, p)
-    entries = [e for a, b, k in alg.brackets for e in ((a, b, k, 1), (b, a, k, -1))]
-    return _sizes_from_ranks(alg, p, entries)
-
-
-def conjugacy_classes(alg: NilAlgebra, p: int) -> tuple[int, ...]:
-    """Conjugacy class sizes of the unitriangular group.
-
-    The element I + X is enumerated by the strictly-upper coordinates of X.
-    Its centralizer is I plus the kernel of ad_X = [X, -], so its class
-    has p^rank(ad_X) elements; column b of ad_X is sum_a X_a [e_a, e_b],
-    so each triple (a, b, k) adds X_a to ad_X[k][b] and -X_b to
-    ad_X[k][a].  The sizes partition p^dim.
-    """
-    _check_states(p, alg.dim)
-    check_prime(alg, p)
-    entries = [e for a, b, k in alg.brackets for e in ((k, b, a, 1), (k, a, b, -1))]
-    return _sizes_from_ranks(alg, p, entries)
+    total = sum(n * p**rank for rank, n in orbits.items())
+    if total != p**dim:
+        raise IntegrityError(f"orbit sizes sum to {total}, not {p}^{dim}")
+    return orbits
 
 
 class OrbitReport(NamedTuple):
@@ -277,26 +259,13 @@ class OrbitReport(NamedTuple):
     match_naive: bool
 
 
-def _even_p_power_root(size: int, p: int) -> int:
-    """sqrt of size, insisting that size is an even power of p."""
-    e = 0
-    s = size
-    while s % p == 0:
-        s //= p
-        e += 1
-    if s != 1 or e % 2 != 0:
-        raise IntegrityError(f"orbit size {size} is not an even power of {p}")
-    root = isqrt(size)
-    if root * root != size:
-        raise IntegrityError(f"orbit size {size} has no integer square root")
-    return root
-
-
 def kirillov_report(alg: NilAlgebra, p: int) -> OrbitReport:
     """Full orbit/class comparison for one algebra and prime.
 
-    The number of coadjoint orbits must equal the number of conjugacy
-    classes, as it does for every algebra group.
+    The state cap and p are checked once, and one walk of the torus
+    representatives gives both rank tallies.  The number of coadjoint
+    orbits must equal the number of conjugacy classes, as it does for
+    every algebra group.
 
     match_kirillov: the squared orbit-size roots sum to the group order
     and the number of fixed functionals equals the order of the
@@ -306,19 +275,29 @@ def kirillov_report(alg: NilAlgebra, p: int) -> OrbitReport:
     multiset; false already for heis3, echoing the order-8 nilpotent
     groups where 1+1+1+1+4 and 1+1+2+2+2 cannot be matched term by term.
     """
-    orbit_sizes = coadjoint_orbits(alg, p)
-    class_sizes = conjugacy_classes(alg, p)
-    if len(orbit_sizes) != len(class_sizes):
-        raise IntegrityError(
-            f"{alg.name} at p={p}: {len(orbit_sizes)} coadjoint orbits but {len(class_sizes)} conjugacy classes"
-        )
+    # Refuse p^dim above MAX_STATES before the trial-division primality test.
+    if p > 1:
+        _check_cap(p**alg.dim, MAX_STATES, f"states {p}^{alg.dim}")
+    check_prime(alg, p)
+    form_counts, ad_counts = _rank_counts(alg, p)
+    orbits = _orbits_by_rank(form_counts, p, alg.dim)
+    classes = _orbits_by_rank(ad_counts, p, alg.dim)
+    n_orbits, n_classes = sum(orbits.values()), sum(classes.values())
+    if n_orbits != n_classes:
+        raise IntegrityError(f"{alg.name} at p={p}: {n_orbits} coadjoint orbits but {n_classes} conjugacy classes")
+    # B_f is alternating, so its rank is even: every orbit size is an even
+    # power of p, the square of a representation degree.
+    for rank in orbits:
+        if rank % 2:
+            raise IntegrityError(f"orbit size {p**rank} is not an even power of {p}")
+    orbit_ranks = [r for r in orbits for _ in range(orbits[r])]
+    orbit_sizes = tuple(p**r for r in orbit_ranks)
+    class_sizes = tuple(p**s for s in classes for _ in range(classes[s]))
     group_order = p**alg.dim
-    rep_dims = tuple(_even_p_power_root(s, p) for s in orbit_sizes)
-    fixed = sum(1 for s in orbit_sizes if s == 1)
+    rep_dims = tuple(p ** (r // 2) for r in orbit_ranks)
+    fixed = orbits.get(0, 0)
     abelianization = p ** (alg.dim - alg.derived_dim)
-    match_kirillov = (
-        sum(d * d for d in rep_dims) == group_order and fixed == abelianization
-    )
+    match_kirillov = sum(d * d for d in rep_dims) == group_order and fixed == abelianization
     match_naive = orbit_sizes == class_sizes
     return OrbitReport(
         algebra=alg.name,

@@ -23,11 +23,14 @@ from .symstats import IntegrityError, _check_cap
 # Largest sizes the GL tables accept.  On a shared 2-CPU Xeon with Python
 # 3.11, feit_fine(200) takes about 0.8 s, gl_order over n = 1..60 about
 # 0.5 s, and gauss_identity_check(2000) about 0.6 s.  `gl ratio` also
-# bounds nmax^2 * bits(q), the bit size of q^(nmax^2) that its exact
-# ratios grow with: --nmax 200 passes up to q = 7 (about 1.4 s) and
-# refuses q = 97 (about 5.7 s).  `gl census` bounds the bit size of q:
-# its largest cells are about q^4, and at 3000 bits those print in at most
-# 3,613 digits, below Python's default 4,300-digit int-to-str limit.
+# bounds max(nmax^2, 820) * bits(q): its exact ratios grow with the bit
+# size of q^(nmax^2), and its 40-term gamma_q reference sum with that of
+# q^820 whatever nmax is.  --nmax 200 passes up to q = 7 (about 1.4 s)
+# and refuses q = 97 (about 5.7 s); below --nmax 29 the reference sum
+# bounds q to 159 bits (about 0.5 s), where 10^1000 took 87 s unbounded.
+# `gl census` bounds the bit size of q: its largest cells are about q^4,
+# and at 3000 bits those print in at most 3,613 digits, below Python's
+# default 4,300-digit int-to-str limit.
 MAX_CLASS_COUNT_N = 200
 MAX_POLY_N = 60
 MAX_GAUSS_ORDER = 2000

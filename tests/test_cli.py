@@ -154,6 +154,8 @@ GL_CAPS = [
     (("gl", "gauss", "--order"), MAX_GAUSS_ORDER),
     # The largest q whose bit size keeps 200^2 * bits(q) within the cap.
     (("gl", "ratio", "--nmax", "200", "--q"), (1 << MAX_RATIO_BITS // 200**2) - 1),
+    # At small nmax the 40-term gamma(q) reference sum, of bit size 820 * bits(q), is the bound.
+    (("gl", "ratio", "--nmax", "1", "--q"), (1 << MAX_RATIO_BITS // 820) - 1),
 ]
 PLANCHEREL_CAPS = [(10**9, 1), (MAX_PLANCHEREL_N + 1, 1), (1000, MAX_PLANCHEREL_CELLS // 1000 + 1)]
 KIRILLOV_CAP_ALGS = ["ut4", "heis3"]

@@ -1,9 +1,9 @@
 """Orbit method on the Heisenberg and 4x4 unitriangular groups.
 
 The library counts orbit and class sizes from ranks over torus
-representatives.  The oracles in kirillov_oracles.py close the orbits
-instead: by dense matrix searches, and by the sparse BFS engine the
-library used before the rank formulas.
+representatives, both in one walk inside kirillov_report.  The oracles in
+kirillov_oracles.py close the orbits instead: by dense matrix searches,
+and by the sparse BFS engine the library used before the rank formulas.
 """
 
 import os
@@ -24,11 +24,8 @@ from repstat.kirillov import (
     UT4,
     UnsupportedCharacteristicError,
     _build_strictly_upper,
-    _even_p_power_root,
     _nil_algebra,
     check_prime,
-    coadjoint_orbits,
-    conjugacy_classes,
     kirillov_report,
 )
 from repstat.symstats import CapExceededError, IntegrityError
@@ -107,25 +104,25 @@ class TestExpLog:
 
 class TestOrbits:
     def test_heis3_p3(self):
-        assert Counter(coadjoint_orbits(HEIS3, 3)) == {1: 9, 9: 2}
+        assert Counter(kirillov_report(HEIS3, 3).orbit_sizes) == {1: 9, 9: 2}
 
     def test_heis3_p5(self):
-        assert Counter(coadjoint_orbits(HEIS3, 5)) == {1: 25, 25: 4}
+        assert Counter(kirillov_report(HEIS3, 5).orbit_sizes) == {1: 25, 25: 4}
 
     def test_sizes_partition_dual_space(self):
         for p in (3, 5):
-            assert sum(coadjoint_orbits(HEIS3, p)) == p**3
+            assert sum(kirillov_report(HEIS3, p).orbit_sizes) == p**3
 
 
 class TestClasses:
     def test_heis3_p3(self):
-        assert Counter(conjugacy_classes(HEIS3, 3)) == {1: 3, 3: 8}
+        assert Counter(kirillov_report(HEIS3, 3).class_sizes) == {1: 3, 3: 8}
 
     def test_heis3_p5(self):
-        assert Counter(conjugacy_classes(HEIS3, 5)) == {1: 5, 5: 24}
+        assert Counter(kirillov_report(HEIS3, 5).class_sizes) == {1: 5, 5: 24}
 
     def test_center_is_fixed(self):
-        sizes = conjugacy_classes(HEIS3, 3)
+        sizes = kirillov_report(HEIS3, 3).class_sizes
         assert sizes.count(1) == 3  # identity plus the order-3 center
 
 
@@ -140,11 +137,11 @@ def _case_id(v):
 class TestAgainstOracle:
     @pytest.mark.parametrize("alg, p", ORACLE_CASES, ids=_case_id)
     def test_conjugacy_classes(self, alg, p):
-        assert conjugacy_classes(alg, p) == oracle_conjugacy_classes(alg, p)
+        assert kirillov_report(alg, p).class_sizes == oracle_conjugacy_classes(alg, p)
 
     @pytest.mark.parametrize("alg, p", ORACLE_CASES, ids=_case_id)
     def test_coadjoint_orbits(self, alg, p):
-        assert coadjoint_orbits(alg, p) == oracle_coadjoint_orbits(alg, p)
+        assert kirillov_report(alg, p).orbit_sizes == oracle_coadjoint_orbits(alg, p)
 
     def test_ut4_p5_classes_by_hand(self):
         # For q = 5: q central classes of size 1, q^2 - 1 of size q,
@@ -153,32 +150,35 @@ class TestAgainstOracle:
         expected = {1: 5, 5: 24, 25: 140, 125: 96}
         assert sum(expected.values()) == 265
         assert sum(size * count for size, count in expected.items()) == 5**6
-        assert Counter(conjugacy_classes(UT4, 5)) == expected
+        assert Counter(kirillov_report(UT4, 5).class_sizes) == expected
 
     def test_ut4_p5_orbits_by_hand(self):
         # q^3 fixed functionals, q^3 - q orbits of size q^2 and q^2 - q of
         # size q^4: the degrees 1, q, q^2 of the irreducible characters.
-        assert Counter(coadjoint_orbits(UT4, 5)) == {1: 125, 25: 120, 625: 20}
+        assert Counter(kirillov_report(UT4, 5).orbit_sizes) == {1: 125, 25: 120, 625: 20}
 
     @pytest.mark.parametrize("alg, p", BFS_CASES, ids=_case_id)
     def test_rank_engine_matches_bfs(self, alg, p):
-        assert coadjoint_orbits(alg, p) == bfs_coadjoint_orbits(alg, p)
-        assert conjugacy_classes(alg, p) == bfs_conjugacy_classes(alg, p)
+        report = kirillov_report(alg, p)
+        assert report.orbit_sizes == bfs_coadjoint_orbits(alg, p)
+        assert report.class_sizes == bfs_conjugacy_classes(alg, p)
 
     @pytest.mark.parametrize("q", [7, 11])
     def test_ut4_closed_forms(self, q):
         classes = {1: q, q: q**2 - 1, q**2: q * (q - 1) * (q + 2), q**3: (q - 1) ** 2 * (q + 1)}
         assert sum(classes.values()) == 2 * q**3 + q**2 - 2 * q
-        assert Counter(conjugacy_classes(UT4, q)) == classes
-        assert Counter(coadjoint_orbits(UT4, q)) == {1: q**3, q**2: q**3 - q, q**4: q**2 - q}
+        report = kirillov_report(UT4, q)
+        assert Counter(report.class_sizes) == classes
+        assert Counter(report.orbit_sizes) == {1: q**3, q**2: q**3 - q, q**4: q**2 - q}
 
     @pytest.mark.parametrize("p", [11, 13])
     def test_heis3_closed_forms(self, p):
         # p central classes and p^2 - 1 of size p; p^2 linear characters
         # and p - 1 of degree p.
-        assert Counter(conjugacy_classes(HEIS3, p)) == {1: p, p: p**2 - 1}
-        assert Counter(coadjoint_orbits(HEIS3, p)) == {1: p**2, p**2: p - 1}
-        assert len(conjugacy_classes(HEIS3, p)) == p**2 + p - 1
+        report = kirillov_report(HEIS3, p)
+        assert Counter(report.class_sizes) == {1: p, p: p**2 - 1}
+        assert Counter(report.orbit_sizes) == {1: p**2, p**2: p - 1}
+        assert len(report.class_sizes) == p**2 + p - 1
 
 
 class TestGuards:
@@ -188,44 +188,19 @@ class TestGuards:
 
     @pytest.mark.parametrize("alg, p", [(UT4, 13), (UT4, 251), (HEIS3, 127), (HEIS3, 251)])
     def test_state_cap_refuses(self, alg, p):
-        for engine in (coadjoint_orbits, conjugacy_classes):
-            with pytest.raises(CapExceededError, match="states"):
-                engine(alg, p)
+        with pytest.raises(CapExceededError, match="states"):
+            kirillov_report(alg, p)
 
     def test_small_characteristic_rejected(self):
-        for engine in (coadjoint_orbits, conjugacy_classes):
+        with pytest.raises(UnsupportedCharacteristicError):
+            kirillov_report(HEIS3, 2)
+        for p in (2, 3):
             with pytest.raises(UnsupportedCharacteristicError):
-                engine(HEIS3, 2)
-            for p in (2, 3):
-                with pytest.raises(UnsupportedCharacteristicError):
-                    engine(UT4, p)
+                kirillov_report(UT4, p)
 
     def test_nonprime_rejected(self):
-        for engine in (coadjoint_orbits, conjugacy_classes):
-            with pytest.raises(ValueError, match="prime"):
-                engine(HEIS3, 9)
-
-    def test_odd_p_power_is_integrity_error(self):
-        p = 5
-        with pytest.raises(IntegrityError):
-            _even_p_power_root(2 * p**2, p)
-        with pytest.raises(IntegrityError):
-            _even_p_power_root(p**3, p)
-        assert _even_p_power_root(p**4, p) == p**2
-
-    def test_integrity_check_survives_optimize_flag(self):
-        src = str(Path(repstat.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": src}
-        code = (
-            "from repstat.kirillov import _even_p_power_root\n"
-            "from repstat.symstats import IntegrityError\n"
-            "try:\n"
-            "    _even_p_power_root(50, 5)\n"
-            "except IntegrityError:\n"
-            "    print('raised')\n"
-        )
-        out = subprocess.run([sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True)
-        assert out.stdout.strip() == "raised", out.stderr
+        with pytest.raises(ValueError, match="prime"):
+            kirillov_report(HEIS3, 9)
 
 
 class TestRankIntegrity:
@@ -236,9 +211,22 @@ class TestRankIntegrity:
         monkeypatch.setattr(kirillov, "_rank_mod_p", lambda rows, p: real(rows, p) + 1)
         # heis3 has p^3 - p^2 functionals of rank 2, not a multiple of p^3.
         with pytest.raises(IntegrityError, match="do not split"):
-            coadjoint_orbits(HEIS3, 5)
+            kirillov_report(HEIS3, 5)
 
     def test_sizes_must_partition_p_dim(self, monkeypatch):
+        # The zero vector has rank 0 in both tallies: drop it from the class
+        # tally alone, then from the walk, which the orbit tally checks first.
+        real_counts = kirillov._rank_counts
+
+        def drop_zero_class(alg, p):
+            form_counts, ad_counts = real_counts(alg, p)
+            return form_counts, {**ad_counts, 0: ad_counts[0] - 1}
+
+        monkeypatch.setattr(kirillov, "_rank_counts", drop_zero_class)
+        with pytest.raises(IntegrityError, match="sum to 124, not 5"):
+            kirillov_report(HEIS3, 5)
+        monkeypatch.undo()
+
         real = kirillov._torus_representatives
 
         def drop_zero_vector(alg, p):
@@ -247,15 +235,40 @@ class TestRankIntegrity:
             yield from reps
 
         monkeypatch.setattr(kirillov, "_torus_representatives", drop_zero_vector)
-        for engine in (coadjoint_orbits, conjugacy_classes):
-            with pytest.raises(IntegrityError, match="sum to 124, not 5"):
-                engine(HEIS3, 5)
+        with pytest.raises(IntegrityError, match="sum to 124, not 5"):
+            kirillov_report(HEIS3, 5)
 
     def test_orbits_must_equal_classes(self, monkeypatch):
         # heis3 at p = 5 has 29 of each; make every class a singleton.
-        monkeypatch.setattr(kirillov, "conjugacy_classes", lambda alg, p: (1,) * p**alg.dim)
+        real = kirillov._rank_counts
+        monkeypatch.setattr(kirillov, "_rank_counts", lambda alg, p: (real(alg, p)[0], {0: p**alg.dim}))
         with pytest.raises(IntegrityError, match="29 coadjoint orbits but 125 conjugacy classes"):
             kirillov_report(HEIS3, 5)
+
+    def test_odd_form_rank_is_integrity_error(self, monkeypatch):
+        # The ad_X tally of heis3 at p = 5, {rank 0: 5 vectors, rank 1: 120},
+        # splits into whole orbits, sums to 125 and gives 29 orbits like the
+        # class side, so only the check that B_f has even rank can fire.
+        real = kirillov._rank_counts
+        monkeypatch.setattr(kirillov, "_rank_counts", lambda alg, p: (real(alg, p)[1],) * 2)
+        with pytest.raises(IntegrityError, match="orbit size 5 is not an even power of 5"):
+            kirillov_report(HEIS3, 5)
+
+    def test_odd_form_rank_check_survives_optimize_flag(self):
+        src = str(Path(repstat.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        code = (
+            "from repstat import kirillov\n"
+            "from repstat.symstats import IntegrityError\n"
+            "real = kirillov._rank_counts\n"
+            "kirillov._rank_counts = lambda alg, p: (real(alg, p)[1],) * 2\n"
+            "try:\n"
+            "    kirillov.kirillov_report(kirillov.HEIS3, 5)\n"
+            "except IntegrityError:\n"
+            "    print('raised')\n"
+        )
+        out = subprocess.run([sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True)
+        assert out.stdout.strip() == "raised", out.stderr
 
     def test_cli_exit_4_under_optimize_flag(self):
         src = str(Path(repstat.__file__).resolve().parents[1])
@@ -304,3 +317,15 @@ class TestReport:
                     size //= p
                     e += 1
                 assert size == 1 and e % 2 == 0
+
+    def test_walks_the_representatives_once(self, monkeypatch):
+        calls = []
+        real = kirillov._torus_representatives
+
+        def counted(alg, p):
+            calls.append((alg.name, p))
+            return real(alg, p)
+
+        monkeypatch.setattr(kirillov, "_torus_representatives", counted)
+        kirillov_report(UT4, 5)
+        assert calls == [("ut4", 5)]
