@@ -140,11 +140,8 @@ def _ratio_rows(a):
     if a.q < 2:
         raise ValueError(f"q must be at least 2, got {a.q}")
     ns = _sized_range(a.nmax, MAX_CLASS_COUNT_N)
-    # The exact ratios grow with the bit size of q^(nmax^2), and the
-    # inv_gamma_ref sum with that of q^(T(T+1)/2) for its T terms.
-    ref_power = GAMMA_REFERENCE_TERMS * (GAMMA_REFERENCE_TERMS + 1) // 2
-    power, what = max((a.nmax**2, "nmax^2"), (ref_power, str(ref_power)))
-    _check_cap(power * a.q.bit_length(), MAX_RATIO_BITS, f"--nmax {a.nmax} --q {a.q}: {what} * bits(q)")
+    # The exact ratios grow with the bit size of q^(nmax^2); gamma_q bounds its own sum.
+    _check_cap(a.nmax**2 * a.q.bit_length(), MAX_RATIO_BITS, f"--nmax {a.nmax} --q {a.q}: nmax^2 * bits(q)")
     inv_gamma = 1 / gamma_q(a.q, GAMMA_REFERENCE_TERMS).value
     return [(n, log_constant_ratio(n, a.q), inv_gamma) for n in ns]
 

@@ -7,27 +7,30 @@ GL_2 census, one function that returns the table ``gl census`` prints.
 Everything here is exact integer or rational arithmetic; floats never
 appear except in callers' reports.
 
-B_n and D_n are products of binomials q^a - q^b, so multiplying by one
-costs two passes over the other factor; C_n comes from a recurrence over
+B_n and D_n both have the form q^s * prod_e (q^e - 1), kept as the pair
+(s, exponents): the polynomial is built by one shift-and-subtract pass per
+factor over a plain coefficient list, and log_constant_ratio evaluates the
+same exponents at q without building it.  C_n comes from a recurrence over
 a growing table rather than from a series product.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from operator import index
+from operator import index, sub
 from typing import NamedTuple
 
 from .symstats import IntegrityError, _check_cap
 
 # Largest sizes the GL tables accept.  On a shared 2-CPU Xeon with Python
 # 3.11, feit_fine(200) takes about 0.8 s, gl_order over n = 1..60 about
-# 0.5 s, and gauss_identity_check(2000) about 0.6 s.  `gl ratio` also
-# bounds max(nmax^2, 820) * bits(q): its exact ratios grow with the bit
-# size of q^(nmax^2), and its 40-term gamma_q reference sum with that of
-# q^820 whatever nmax is.  --nmax 200 passes up to q = 7 (about 1.4 s)
-# and refuses q = 97 (about 5.7 s); below --nmax 29 the reference sum
-# bounds q to 159 bits (about 0.5 s), where 10^1000 took 87 s unbounded.
+# 0.5 s, and gauss_identity_check(2000) about 0.6 s.  MAX_RATIO_BITS
+# bounds the bit size of the exact rationals: gamma_q refuses terms T when
+# T(T+1)/2 * bits(q) exceeds it, before summing (its 40-term reference sum
+# in `gl ratio` then admits q up to 159 bits, about 0.5 s, where 10^1000
+# took 87 s unbounded), and `gl ratio` refuses nmax^2 * bits(q) above it,
+# since its ratios grow with the bit size of q^(nmax^2): --nmax 200 passes
+# up to q = 7 (about 1.4 s) and refuses q = 97 (about 5.7 s).
 # `gl census` bounds the bit size of q: its largest cells are about q^4,
 # and at 3000 bits those print in at most 3,613 digits, below Python's
 # default 4,300-digit int-to-str limit.
@@ -72,6 +75,8 @@ class QPolynomial:
         return hash(self.coeffs)
 
     def __add__(self, other: "QPolynomial") -> "QPolynomial":
+        if not isinstance(other, QPolynomial):
+            return NotImplemented
         a, b = self.coeffs, other.coeffs
         if len(a) < len(b):
             a, b = b, a
@@ -84,6 +89,8 @@ class QPolynomial:
         return QPolynomial(-v for v in self.coeffs)
 
     def __sub__(self, other: "QPolynomial") -> "QPolynomial":
+        if not isinstance(other, QPolynomial):
+            return NotImplemented
         return self + (-other)
 
     def __mul__(self, other):
@@ -93,8 +100,6 @@ class QPolynomial:
             return NotImplemented
         if self.is_zero() or other.is_zero():
             return QPolynomial()
-        # One pass over self per nonzero coefficient of other: sparse
-        # factors such as q^a - q^b belong on the right.
         out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
         for j, b in enumerate(other.coeffs):
             if b:
@@ -103,12 +108,6 @@ class QPolynomial:
         return QPolynomial(out)
 
     __rmul__ = __mul__
-
-    def shift(self, k: int) -> "QPolynomial":
-        """Multiply by q^k."""
-        if self.is_zero():
-            return self
-        return QPolynomial((0,) * k + self.coeffs)
 
     def evaluate(self, x):
         """Horner evaluation; exact for int or Fraction arguments."""
@@ -138,10 +137,6 @@ class QPolynomial:
 P_ZERO = QPolynomial()
 P_ONE = QPolynomial([1])
 P_Q = QPolynomial([0, 1])
-
-
-def q_power(k: int) -> QPolynomial:
-    return P_ONE.shift(k)
 
 
 # Only the tests' oracle for feit_fine; kept here because perfbench/tracer.py patches __mul__.
@@ -239,29 +234,30 @@ def feit_fine(nmax: int) -> tuple[QPolynomial, ...]:
     return tuple(table[: nmax + 1])
 
 
-def _gow_factors(n: int) -> tuple[int, list[tuple[int, int]]]:
-    """B_n(q) = q^s * prod (q^a - q^b), as (s, [(a, b), ...])."""
+def _gow_factors(n: int) -> tuple[int, range]:
+    """B_n(q) = q^(m^2+m) * prod_{odd e <= n} (q^e - 1), m = n // 2, as (shift, exponents)."""
     m = n // 2
-    top = n if n % 2 == 1 else n - 1
-    return m * m + m, [(e, 0) for e in range(top, 0, -2)]
+    return m * m + m, range(1, n + 1, 2)
 
 
-def _gl_order_factors(n: int) -> tuple[int, list[tuple[int, int]]]:
-    """D_n(q) = prod_{i<n} (q^n - q^i), as (0, [(n, i), ...])."""
-    return 0, [(n, i) for i in range(n)]
+def _gl_order_factors(n: int) -> tuple[int, range]:
+    """D_n(q) = q^(n(n-1)/2) * prod_{e=1..n} (q^e - 1), as (shift, exponents)."""
+    return n * (n - 1) // 2, range(1, n + 1)
 
 
-def _factor_polynomial(shift: int, factors) -> QPolynomial:
-    poly = q_power(shift)
-    for a, b in factors:
-        poly = poly * (q_power(a) - q_power(b))
-    return poly
+def _factor_polynomial(shift: int, exponents) -> QPolynomial:
+    """q^shift * prod_e (q^e - 1): each factor maps c to q^e c - c in one pass."""
+    coeffs = [1]
+    for e in exponents:
+        pad = [0] * e
+        coeffs = list(map(sub, pad + coeffs, coeffs + pad))
+    return QPolynomial([0] * shift + coeffs)
 
 
-def _factor_value(shift: int, factors, q):
+def _factor_value(shift: int, exponents, q):
     value = q**shift
-    for a, b in factors:
-        value *= q**a - q**b
+    for e in exponents:
+        value *= q**e - 1
     return value
 
 
@@ -335,15 +331,20 @@ def gamma_q(q, terms: int) -> GammaPartialSum:
 
     Monotone increasing in the number of terms.  The reported tail bound
     q^(-T(T+1)/2) / (1 - q^(-(T+1))) is rigorous for any rational q > 1
-    and is at most 2 q^(-T(T+1)/2) once q >= 2.
+    and is at most 2 q^(-T(T+1)/2) once q >= 2.  T(T+1)/2 * bits(q) above
+    MAX_RATIO_BITS is refused before any term is summed.
     """
     q = Fraction(q)
     if q <= 1:
         raise ValueError(f"q must exceed 1, got {q}")
     if terms < 1:
         raise ValueError(f"terms must be at least 1, got {terms}")
+    # Every exact value below is about the bit size of q^(T(T+1)/2); as
+    # q > 1, its numerator is the larger part of q.
+    power = terms * (terms + 1) // 2
+    _check_cap(power * q.numerator.bit_length(), MAX_RATIO_BITS, f"{power} * bits(q)")
     value = sum((Fraction(1) / q ** (i * (i + 1) // 2) for i in range(terms)), Fraction(0))
-    head = Fraction(1) / q ** (terms * (terms + 1) // 2)
+    head = Fraction(1) / q**power
     tail_bound = head / (1 - Fraction(1) / q ** (terms + 1))
     return GammaPartialSum(value, tail_bound, terms)
 
@@ -354,9 +355,9 @@ def log_constant_ratio(n: int, q) -> Fraction:
     B, C, D are the degree sum, the class count, and the group order of
     GL_n(F_q); for fixed q >= 2 the ratio tends to 1/gamma(q) as n grows.
     """
+    if n < 1:
+        raise ValueError(f"n must be at least 1, got {n}")
     q = Fraction(q)
-    if q == 1:
-        raise ValueError("q=1 makes the group order vanish")
     if q <= 1:
         raise ValueError(f"q must exceed 1, got {q}")
     x = q.numerator if q.denominator == 1 else q

@@ -167,12 +167,6 @@ class DimRecord(NamedTuple):
     log_class: float  # ln(class size), nats
 
 
-def _check_sweep_n(n: int) -> None:
-    if n < 1:
-        raise ValueError(f"n must be at least 1, got {n}")
-    _check_cap(n, MAX_SWEEP_N, "n")
-
-
 @lru_cache(maxsize=1)
 def sweep(n: int) -> tuple[DimRecord, ...]:
     """One DimRecord per partition of n in enumeration order, moment identities verified.
@@ -180,7 +174,9 @@ def sweep(n: int) -> tuple[DimRecord, ...]:
     A bad n is refused before any walk; lru_cache keeps only successful
     returns, so a refused n leaves the cached level in place.
     """
-    _check_sweep_n(n)
+    if n < 1:
+        raise ValueError(f"n must be at least 1, got {n}")
+    _check_cap(n, MAX_SWEEP_N, "n")
     fact = factorial(n)
     records = []
     # A node is a stack of rows, bottom-up: (parts, top, depth, rest,
@@ -258,7 +254,8 @@ def cos_sq_exact(n: int) -> Fraction:
 
 
 def angle_report(n: int) -> AngleReport:
-    _check_sweep_n(n)
+    if n < 1:
+        raise ValueError(f"n must be at least 1, got {n}")
     inv = involution_count(n)
     pn = partition_count(n)
     fact = factorial(n)

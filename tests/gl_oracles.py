@@ -1,6 +1,7 @@
 """Brute-force oracles for the GL_n(F_q) closed forms in repstat.qseries."""
 
 from repstat.kirillov import _is_prime
+from repstat.qseries import QPolynomial
 
 
 class UnsupportedFieldError(ValueError):
@@ -46,3 +47,27 @@ def symmetric_invertible_count(n: int, q: int) -> int:
         if _det_mod(mat, q) != 0:
             count += 1
     return count
+
+
+def q_power(k: int) -> QPolynomial:
+    return QPolynomial([0] * k + [1])
+
+
+def _pair_product(pairs) -> QPolynomial:
+    """prod (q^a - q^b) over the (a, b) pairs, one QPolynomial product per binomial."""
+    poly = q_power(0)
+    for a, b in pairs:
+        poly = poly * (q_power(a) - q_power(b))
+    return poly
+
+
+def gow_sum_pairs(n: int) -> QPolynomial:
+    """B_n(q) = q^(m^2+m) (q^n' - 1)(q^(n'-2) - 1)...(q - 1), n' the largest odd e <= n, m = n // 2."""
+    m = n // 2
+    top = n if n % 2 == 1 else n - 1
+    return q_power(m * m + m) * _pair_product((e, 0) for e in range(top, 0, -2))
+
+
+def gl_order_pairs(n: int) -> QPolynomial:
+    """|GL_n(F_q)| = (q^n - 1)(q^n - q)...(q^n - q^(n-1)), one factor per choice of row."""
+    return _pair_product((n, i) for i in range(n))

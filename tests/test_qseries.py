@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -26,11 +27,12 @@ from repstat.qseries import (
     gl_order,
     gow_sum,
     log_constant_ratio,
-    q_power,
 )
 from repstat.symstats import CapExceededError, IntegrityError
 
-from gl_oracles import UnsupportedFieldError, symmetric_invertible_count
+from gl_oracles import (
+    UnsupportedFieldError, gl_order_pairs, gow_sum_pairs, q_power, symmetric_invertible_count,
+)
 
 
 def dense_product(a, b):
@@ -81,7 +83,12 @@ class TestQPolynomial:
         assert p == QPolynomial([-1, 0, 1])
         assert (p - p).is_zero()
         assert (3 * P_Q).coeffs == (0, 3)
-        assert P_Q.shift(2).coeffs == (0, 0, 0, 1)
+
+    def test_non_polynomial_operand_is_type_error(self):
+        with pytest.raises(TypeError):
+            P_ONE + 1
+        with pytest.raises(TypeError):
+            P_ONE - 1
 
     @given(coeff_lists, coeff_lists)
     def test_sparse_product_matches_dense(self, a, b):
@@ -189,6 +196,10 @@ class TestGowSum:
         assert gow_sum(2) == q_power(2) * (P_Q - P_ONE)  # q^2 (q-1)
         assert gow_sum(3) == q_power(2) * (q_power(3) - P_ONE) * (P_Q - P_ONE)
 
+    def test_matches_pair_product_up_to_cap(self):
+        for n in range(1, qseries.MAX_POLY_N + 1):
+            assert gow_sum(n) == gow_sum_pairs(n)
+
     def test_brute_force_grid(self):
         for n, q in ((1, 2), (1, 3), (2, 2), (2, 3), (3, 2)):
             assert gow_sum(n).evaluate(q) == symmetric_invertible_count(n, q)
@@ -215,6 +226,10 @@ class TestGlOrder:
 
     def test_gl2_f2_is_s3(self):
         assert gl_order(2).evaluate(2) == 6
+
+    def test_matches_pair_product_up_to_cap(self):
+        for n in range(1, qseries.MAX_POLY_N + 1):
+            assert gl_order(n) == gl_order_pairs(n)
 
     def test_degree_n_squared(self):
         for n in range(1, 7):
@@ -283,6 +298,21 @@ class TestGamma:
         with pytest.raises(ValueError):
             gamma_q(2, 0)
 
+    def test_bit_cap(self):
+        # 40 terms reach q^820: 820 * 159 bits is within MAX_RATIO_BITS, 820 * 160 is not.
+        assert gamma_q((1 << 159) - 1, 40).terms == 40
+        start = time.monotonic()
+        with pytest.raises(CapExceededError, match=r"820 \* bits\(q\)=131200 exceeds the cap 131072"):
+            gamma_q(1 << 159, 40)
+        with pytest.raises(CapExceededError):
+            gamma_q(10**1000, 40)
+        assert time.monotonic() - start < 1.0
+
+    def test_bit_cap_for_a_fraction(self):
+        with pytest.raises(CapExceededError):
+            gamma_q(Fraction(1 << 159, (1 << 159) - 1), 40)
+        assert gamma_q(Fraction((1 << 159) - 1, (1 << 159) - 2), 40).terms == 40
+
 
 class TestLogConstantRatio:
     def test_gl1_is_one(self):
@@ -293,8 +323,13 @@ class TestLogConstantRatio:
         assert log_constant_ratio(2, 2) == Fraction(8, 9)
 
     def test_q1_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="q must exceed 1"):
             log_constant_ratio(3, 1)
+
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_n_below_one_rejected(self, n):
+        with pytest.raises(ValueError, match="n must be at least 1"):
+            log_constant_ratio(n, 2)
 
     def test_close_to_inv_gamma_for_large_n(self):
         inv_gamma = 1 / gamma_q(2, 30).value

@@ -385,6 +385,15 @@ class TestAngle:
     def test_n1_is_one(self):
         assert cos_sq_exact(1) == 1
 
+    def test_not_bounded_by_the_sweep_cap(self):
+        # The report builds no level, so only n >= 1 is checked.
+        assert angle_report(MAX_SWEEP_N + 1).cos_sq == float(cos_sq_exact(MAX_SWEEP_N + 1))
+
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_rejects_n_below_one(self, n):
+        with pytest.raises(ValueError, match="at least 1"):
+            angle_report(n)
+
     def test_cauchy_schwarz_range(self):
         for n in range(1, 30):
             assert 0 < cos_sq_exact(n) <= 1
