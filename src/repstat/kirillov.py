@@ -37,9 +37,11 @@ from typing import NamedTuple
 
 from .symstats import IntegrityError, _check_cap
 
-# Largest p^dim the orbit tables will cover: ut4 up to p = 11, heis3 up
-# to p = 113.  The rank counts themselves are cheap, but the size tuples
-# and the JSON report list every orbit and class, up to p^dim of them.
+# Largest group order p^dim the orbit tables will cover: ut4 up to p = 11,
+# heis3 up to p = 113.  The cap bounds p, not the output: the report lists
+# k(U) entries per kind (orbits, classes, degrees), the class number
+# p^2 + p - 1 for heis3 and 2p^3 + p^2 - 2p for ut4, so 12,881 at heis3/113
+# and 2,761 at ut4/11 against p^dim of 1,442,897 and 1,771,561.
 MAX_STATES = 2_000_000
 
 
@@ -135,14 +137,19 @@ def _is_prime(p: int) -> bool:
 
 
 def check_prime(alg: NilAlgebra, p: int) -> None:
-    """Admissibility: prime p with p > nilpotency class.
+    """Admissibility: p^dim within MAX_STATES, and prime p with p > nilpotency class.
 
     This is the orbit method's requirement: Kirillov's correspondence for a
     p-group rests on the truncated exp/log series, which divide by k! for
     k up to the class, so those factorials must be invertible mod p.  The
     boundary cases p = 2 (heis3) and p in {2, 3} (ut4) are exactly where
     exp/log break down.  The rank formulas themselves hold for every p.
+
+    p^dim above MAX_STATES is refused first, so a huge p never reaches the
+    trial-division primality test.
     """
+    if p > 1:
+        _check_cap(p**alg.dim, MAX_STATES, f"states {p}^{alg.dim}")
     if not _is_prime(p):
         raise ValueError(f"p must be a prime, got {p}")
     if p <= alg.nilpotency_class:
@@ -275,9 +282,6 @@ def kirillov_report(alg: NilAlgebra, p: int) -> OrbitReport:
     multiset; false already for heis3, echoing the order-8 nilpotent
     groups where 1+1+1+1+4 and 1+1+2+2+2 cannot be matched term by term.
     """
-    # Refuse p^dim above MAX_STATES before the trial-division primality test.
-    if p > 1:
-        _check_cap(p**alg.dim, MAX_STATES, f"states {p}^{alg.dim}")
     check_prime(alg, p)
     form_counts, ad_counts = _rank_counts(alg, p)
     orbits = _orbits_by_rank(form_counts, p, alg.dim)

@@ -113,6 +113,8 @@ def random_permutation(n: int, rng: SplitMix64) -> list[int]:
     later step one output further, past the end of that buffer into
     next_u64.
     """
+    if n < 0:
+        raise ValueError(f"n must be nonnegative, got {n}")
     perm = list(range(1, n + 1))
     # 2^64 mod bound < bound <= n, so a draw below 2^64 - n is never rejected.
     safe = _TWO64 - n

@@ -9,6 +9,7 @@ and by the sparse BFS engine the library used before the rank formulas.
 import os
 import subprocess
 import sys
+import time
 from collections import Counter
 from math import comb
 from pathlib import Path
@@ -190,6 +191,20 @@ class TestGuards:
     def test_state_cap_refuses(self, alg, p):
         with pytest.raises(CapExceededError, match="states"):
             kirillov_report(alg, p)
+
+    def test_check_prime_refuses_huge_p_at_once(self):
+        # Trial division of 10^30 + 57 would run to about 10^15; the state
+        # cap comes first, and refuses an even (non-prime) p the same way.
+        for p in (10**30 + 57, 10**30 + 56):
+            start = time.monotonic()
+            with pytest.raises(CapExceededError, match=rf"^states {p}\^6=\d+ exceeds the cap {MAX_STATES}$"):
+                check_prime(UT4, p)
+            assert time.monotonic() - start < 1.0
+
+    @pytest.mark.parametrize("p", [-251, -5, 0, 1])
+    def test_check_prime_skips_the_cap_below_2(self, p):
+        with pytest.raises(ValueError, match=f"p must be a prime, got {p}"):
+            check_prime(UT4, p)
 
     def test_small_characteristic_rejected(self):
         with pytest.raises(UnsupportedCharacteristicError):

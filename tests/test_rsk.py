@@ -156,6 +156,13 @@ class TestShuffle:
                 assert random_permutation(n, fast) == scalar_permutation(n, slow)
                 assert fast._state == slow._state
 
+    def test_negative_n_rejected(self):
+        rng = SplitMix64(1)
+        with pytest.raises(ValueError, match="^n must be nonnegative, got -3$"):
+            random_permutation(-3, rng)
+        assert rng._state == 1
+        assert random_permutation(0, rng) == []
+
     @pytest.mark.parametrize("n, steps", [(3, 1), (10, 8), (2000, 1998)])
     def test_rejected_draw_reads_past_the_buffer(self, n, steps):
         # The draw for bound 3 is 2^64 - 1, the one value below(rng, 3) rejects
