@@ -7,23 +7,31 @@ figure-style data is emitted as tables, plotting is left to other tools.
 
 Every command is one entry of ``_COMMANDS``: its path, help, flags, columns
 and a row builder.  ``build_parser`` turns the table into argparse
-subcommands and ``_emit`` renders any entry's rows as CSV or JSON.  Rows
-hold library values; each format renders every cell through one table
-keyed by the cell's exact type (``_CSV``, ``_JSON``).
+subcommands and ``_emit`` renders any entry's rows as CSV or JSON text, one
+string per row, joined once.  Rows hold library values; each format renders
+every cell through one table keyed by the cell's exact type (``_CSV``,
+``_JSON``) that returns the finished field.  CSV fields are quoted as
+``csv.writer``'s QUOTE_MINIMAL quotes them, which only str, partition and
+sequence text can need.  JSON is written in the layout of
+``json.dumps(payload, indent=2)``: str cells are escaped by json's C
+``encode_basestring_ascii``, and only the ``meta`` block and the extra
+payload pass through ``json.dumps``.  The tests keep ``csv.writer`` and the
+whole-payload ``json.dumps`` as the oracle for these bytes.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
 import gc
-import io
 import json
 import os
+import re
 import sys
 from collections import Counter
 from fractions import Fraction
+from itertools import chain
+from json.encoder import encode_basestring_ascii
 from typing import Callable, NamedTuple
 
 from . import __version__
@@ -41,21 +49,80 @@ from .symstats import (
 
 GAMMA_REFERENCE_TERMS = 40
 
-# Cell formatters by exact type: big integers as decimal strings, reals to
-# 12 significant digits, sequences space-joined in CSV and as lists in
-# JSON.  A type missing here is rendered with str.
-_CSV = {
+# Cell text by exact type: big integers as decimal strings, reals to 12
+# significant digits, sequences space-joined.  A type missing here is
+# rendered with str.
+_TEXT = {
     str: str, int: str, type(None): lambda v: "", bool: lambda v: "true" if v else "false",
     float: "{:.12g}".format, Fraction: lambda v: f"{float(v):.12g}",
     Partition: Partition.serialize, QPolynomial: QPolynomial.serialize,
 }
-_CSV[tuple] = _CSV[list] = lambda v: " ".join([_CSV.get(type(x), str)(x) for x in v])
+_TEXT[tuple] = _TEXT[list] = lambda v: " ".join([_TEXT.get(type(x), str)(x) for x in v])
+
+# csv.writer(lineterminator="\n") quotes a field that holds a comma, a quote
+# or a newline, and from Python 3.13 one that holds a carriage return.
+_CSV_QUOTED = re.compile('[,"\n\r]' if sys.version_info >= (3, 13) else '[,"\n]')
+
+
+def _csv_field(text: str) -> str:
+    """text as one CSV field, quoted as csv.writer's QUOTE_MINIMAL does."""
+    if _CSV_QUOTED.search(text) is None:
+        return text
+    return '"' + text.replace('"', '""') + '"'
+
+
+# Finished CSV fields by exact type.  Only str, partition and sequence text
+# can hold a comma, a quote or a newline; a partition's only when it has two
+# or more parts, and then it holds a comma and no quote.
+_CSV = _TEXT | {str: _csv_field, Partition: lambda v: f'"{v.serialize()}"' if len(v) > 1 else v.serialize()}
+_CSV[tuple] = _CSV[list] = lambda v: _csv_field(_TEXT[tuple](v))
+
+
+def _csv_other(v) -> str:
+    """A cell of a type missing from _CSV: its str, as a field."""
+    return _csv_field(str(v))
+
+
+_JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _json_float(v: float) -> str:
+    """v rounded to 12 significant digits, in json.dumps's float text (repr)."""
+    text = f"{v:.12g}"
+    # A point without an exponent: repr writes the same digits in the same
+    # notation, as no shorter decimal can round to that float.
+    if "." in text and "e" not in text:
+        return text
+    text = repr(float(text))
+    return _JSON_NONFINITE.get(text, text)
+
+
+def _json_seq(v, pad: str = "\n      ") -> str:
+    """A sequence as a JSON list laid out as json.dumps(indent=2) does, closing at pad.
+
+    The default pad is the depth of a row's cells.
+    """
+    if not v:
+        return "[]"
+    inner = pad + "  "
+    items = [_json_seq(x, inner) if type(x) in (tuple, list) else _JSON.get(type(x), _json_other)(x) for x in v]
+    return "[" + inner + ("," + inner).join(items) + pad + "]"
+
+
+# Finished JSON text by exact type: big integers as strings, reals rounded
+# to 12 significant digits, sequences as lists.  Partition and polynomial
+# text is ASCII without quotes or backslashes, so it needs no escaping.
 _JSON = {
-    str: str, int: str, type(None): lambda v: v, bool: lambda v: v,
-    float: lambda v: float(f"{v:.12g}"), Fraction: lambda v: float(f"{float(v):.12g}"),
-    Partition: Partition.serialize, QPolynomial: QPolynomial.serialize,
+    str: encode_basestring_ascii, int: lambda v: f'"{v}"', type(None): lambda v: "null", bool: _TEXT[bool],
+    float: _json_float, Fraction: lambda v: _json_float(float(v)),
+    Partition: lambda v: f'"{v.serialize()}"', QPolynomial: lambda v: f'"{v.serialize()}"',
+    tuple: _json_seq, list: _json_seq,
 }
-_JSON[tuple] = _JSON[list] = lambda v: [_JSON.get(type(x), str)(x) for x in v]
+
+
+def _json_other(v) -> str:
+    """A cell of a type missing from _JSON: its str, as a JSON string."""
+    return encode_basestring_ascii(str(v))
 
 
 class _Command(NamedTuple):
@@ -78,26 +145,45 @@ class _Command(NamedTuple):
 
 
 def _emit(args) -> str:
+    """The command's table as CSV or as JSON, in the layout of csv.writer or json.dumps(indent=2).
+
+    Each row becomes one string, and the strings are joined once.
+    """
     cmd = args.cmd
     rows, extra = cmd.rows(args) if cmd.extra else (cmd.rows(args), {})
     if args.format == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(cmd.columns)
         cell = _CSV.get
-        writer.writerows([cell(type(v), str)(v) for v in row] for row in rows)
-        return buf.getvalue()
+        fields = ([cell(type(v), _csv_other)(v) for v in row] for row in chain((cmd.columns,), rows))
+        # csv.writer writes a row of one empty field as "", so that it reads back as a row.
+        lines = [",".join(f) or '""' * len(f) for f in fields]
+        lines.append("")
+        return "\n".join(lines)
+    meta = {"invocation": " ".join(args.invocation), "version": __version__, "seed": getattr(args, "seed", None)}
+    lines = ['{\n  "meta": ' + _json_nested(meta) + ',\n  "rows": [', *_json_rows(cmd.columns, rows)]
+    lines.append("\n  ]" if len(lines) > 1 else "]")
+    lines += [f",\n  {encode_basestring_ascii(k)}: {_json_nested(v)}" for k, v in extra.items()]
+    lines.append("\n}\n")
+    return "".join(lines)
+
+
+def _json_nested(value) -> str:
+    """json.dumps(value, indent=2) at the depth of a top-level key."""
+    return json.dumps(value, indent=2).replace("\n", "\n  ")
+
+
+def _json_rows(columns, rows):
+    """Each row as a JSON object at the depth of the rows list, after its separator.
+
+    Rows are zipped to the columns, so a short row gives fewer keys and a
+    long row's extra cells are dropped.
+    """
+    keys = [f"      {encode_basestring_ascii(c)}: " for c in columns]
     cell = _JSON.get
-    payload = {
-        "meta": {
-            "invocation": " ".join(args.invocation),
-            "version": __version__,
-            "seed": getattr(args, "seed", None),
-        },
-        "rows": [{c: cell(type(v), str)(v) for c, v in zip(cmd.columns, row)} for row in rows],
-        **extra,
-    }
-    return json.dumps(payload, indent=2) + "\n"
+    sep = "\n    "
+    for row in rows:
+        body = ",\n".join([k + cell(type(v), _json_other)(v) for k, v in zip(keys, row)])
+        yield f"{sep}{{\n{body}\n    }}" if body else sep + "{}"
+        sep = ",\n    "
 
 
 def _sized_range(nmax: int, cap: int) -> range:
@@ -154,8 +240,8 @@ def _kirillov_rows(a):
     rows.append(("group_order", report.group_order, None, None))
     rows.append(("match_kirillov", None, None, report.match_kirillov))
     rows.append(("match_naive", None, None, report.match_naive))
-    # Every report field as a JSON cell, except that p stays a number.
-    extra = {"report": {k: _JSON.get(type(v), str)(v) for k, v in report._asdict().items()} | {"p": report.p}}
+    # Every report field as its JSON cell, read back as a value, except that p stays a number.
+    extra = {"report": {k: json.loads(_JSON[type(v)](v)) for k, v in report._asdict().items()} | {"p": report.p}}
     return rows, extra
 
 

@@ -147,19 +147,22 @@ def rsk_shape(perm) -> Partition:
         valid = False
     if not valid:
         raise ValueError("input must be a permutation of 1..n")
+    # Every row ends with the sentinel n + 1, above every entry, so the
+    # leftmost entry > x always exists; bumping the sentinel ends the insertion.
+    end = n + 1
     rows: list[list[int]] = []
     for x in perm:
         for row in rows:
             # Entries are distinct, so bisect_left finds the leftmost entry > x.
             pos = bisect_left(row, x)
-            if pos == len(row):
-                row.append(x)
-                break
             row[pos], x = x, row[pos]
+            if x == end:
+                row.append(end)
+                break
         else:
-            rows.append([x])
+            rows.append([x, end])
     # Row lengths of a tableau are weakly decreasing.
-    return _trusted_partition(map(len, rows))
+    return _trusted_partition([len(row) - 1 for row in rows])
 
 
 def sample_plancherel(

@@ -10,12 +10,14 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from repstat import cli
+from repstat import __version__, cli
 from repstat.cli import main
 from repstat.partitions import Partition, partition_count
 from repstat.kirillov import OrbitReport
@@ -554,3 +556,107 @@ class TestCellTables:
                 todo.extend(v)
         assert {Fraction, Partition, QPolynomial, tuple, float, bool, type(None)} <= seen
         assert seen - set(cli._CSV) == set() and seen - set(cli._JSON) == set()
+
+
+# The writer that _emit replaced, kept as its oracle: every cell through
+# the per-format value tables below, then csv.writer, or json.dumps over the
+# whole payload.
+OLD_CSV = {
+    str: str, int: str, type(None): lambda v: "", bool: lambda v: "true" if v else "false",
+    float: "{:.12g}".format, Fraction: lambda v: f"{float(v):.12g}",
+    Partition: Partition.serialize, QPolynomial: QPolynomial.serialize,
+}
+OLD_CSV[tuple] = OLD_CSV[list] = lambda v: " ".join([OLD_CSV.get(type(x), str)(x) for x in v])
+OLD_JSON = {
+    str: str, int: str, type(None): lambda v: v, bool: lambda v: v,
+    float: lambda v: float(f"{v:.12g}"), Fraction: lambda v: float(f"{float(v):.12g}"),
+    Partition: Partition.serialize, QPolynomial: QPolynomial.serialize,
+}
+OLD_JSON[tuple] = OLD_JSON[list] = lambda v: [OLD_JSON.get(type(x), str)(x) for x in v]
+
+
+def oracle_emit(args):
+    cmd = args.cmd
+    rows, extra = cmd.rows(args) if cmd.extra else (cmd.rows(args), {})
+    if args.format == "csv":
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(cmd.columns)
+        writer.writerows([OLD_CSV.get(type(v), str)(v) for v in row] for row in rows)
+        return buf.getvalue()
+    payload = {
+        "meta": {
+            "invocation": " ".join(args.invocation),
+            "version": __version__,
+            "seed": getattr(args, "seed", None),
+        },
+        "rows": [{c: OLD_JSON.get(type(v), str)(v) for c, v in zip(cmd.columns, row)} for row in rows],
+        **extra,
+    }
+    return json.dumps(payload, indent=2) + "\n"
+
+
+# Text with every character csv.writer or JSON treats specially, and more.
+TEXT = st.text(st.sampled_from(',"\r\n \\/\t\x00\x1fab1é€\u2028😀') | st.characters(), max_size=6)
+SCALARS = (
+    TEXT
+    | st.integers() | st.integers(-(10**60), 10**60) | st.sampled_from([10**4299, -(10**4299 - 1)])
+    | st.floats() | st.sampled_from([float("nan"), float("inf"), float("-inf"), -0.0, 1e16, 1e-05, 123456789012.0])
+    | st.none() | st.booleans() | st.fractions()
+    # Parts past serialize's digit table, and polynomials with big signed coefficients.
+    | st.lists(st.integers(1, 250), max_size=5).map(lambda ps: Partition(sorted(ps, reverse=True)))
+    | st.lists(st.integers(-(10**30), 10**30), max_size=5).map(QPolynomial)
+    # A type missing from both tables, whose str holds a comma.
+    | st.builds(range, st.integers(-5, 5), st.integers(-5, 5))
+)
+CELL = st.recursive(SCALARS, lambda inner: st.lists(inner, max_size=3) | st.tuples(inner, inner), max_leaves=4)
+# One cell of each named edge, so that every run covers them.
+EDGE_ROW = (
+    Partition([3, 1]), Partition([5]), Partition([]), Partition([120, 7, 7]), QPolynomial([1, -2, 0, 3]), QPolynomial(),
+    float("nan"), float("inf"), float("-inf"), -0.0, 1e16, 10**4299, -(10**40), Fraction(-7, 3), True, None,
+    "a,b", 'say "hi"', "cr\rlf", "line\nbreak", "é€😀", "", (1, [2.5, ("c,d", None)], []), range(0, 2),
+)
+JSON_VALUE = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | TEXT,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(TEXT, inner, max_size=3),
+    max_leaves=4,
+)
+
+
+class TestWriterOracle:
+    """_emit against the csv.writer and json.dumps route it replaced, byte for byte."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        columns=st.lists(TEXT, unique=True, max_size=5),
+        rows=st.lists(st.lists(CELL, max_size=6).map(tuple), max_size=4),
+        extra=st.dictionaries(TEXT.filter(lambda k: k not in ("meta", "rows")), JSON_VALUE, max_size=2),
+        seed=st.none() | st.integers(),
+    )
+    @example(columns=["c"], rows=[("",)], extra={}, seed=None)  # a row of one empty field
+    @example(columns=[], rows=[()], extra={}, seed=None)  # a row of no fields
+    @example(columns=["a", "b"], rows=[("x",), ("x", 1, 2.5)], extra={"report": {"p": 3, "n": [1.5]}}, seed=7)
+    @example(columns=[f"c{i}" for i in range(len(EDGE_ROW))], rows=[EDGE_ROW, EDGE_ROW[::-1]], extra={}, seed=0)
+    def test_bytes_match_the_old_writer(self, columns, rows, extra, seed):
+        cmd = cli._Command(("x",), "", {}, tuple(columns), lambda a: (rows, extra), extra=True)
+        for fmt in ("csv", "json"):
+            args = argparse.Namespace(cmd=cmd, format=fmt, invocation=["x", "--seed", "7"], seed=seed)
+            assert cli._emit(args) == oracle_emit(args)
+
+
+class TestEmitMemory:
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_peak_is_at_most_four_times_the_text(self, fmt):
+        # At the peak the per-row strings and the joined text are alive
+        # together; a second full copy of the text would add one more length.
+        argv = ["sym", "sweep", "--n", "30", "--format", fmt]
+        args = cli.build_parser().parse_args(argv)
+        args.invocation = argv
+        cli._emit(args)  # builds and caches the level
+        tracemalloc.start()
+        try:
+            text = cli._emit(args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * len(text), peak / len(text)

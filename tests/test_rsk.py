@@ -1,7 +1,8 @@
 """RSK shape, the seeded sampler, and Plancherel statistics."""
 
 import math
-from itertools import permutations
+from bisect import bisect_left
+from itertools import compress, permutations, product
 from math import factorial
 
 import pytest
@@ -23,6 +24,29 @@ def lis_length(seq):
             if seq[j] < seq[i]:
                 best[i] = max(best[i], best[j] + 1)
     return max(best, default=0)
+
+
+def lds_length(seq):
+    """Oracle: longest decreasing subsequence, by patience sorting on the negated values."""
+    tails = []
+    for x in seq:
+        pos = bisect_left(tails, -x)
+        tails[pos:pos + 1] = [-x]
+    return len(tails)
+
+
+def greene_sums(perm):
+    """Oracle: for k = 1..n, the largest |S| over subsequences S whose longest decreasing subsequence is <= k."""
+    n = len(perm)
+    best = [0] * (n + 1)
+    for keep in product((0, 1), repeat=n):
+        sub = list(compress(perm, keep))
+        d = lds_length(sub)
+        best[d] = max(best[d], len(sub))
+    # A subsequence allowed at k is allowed at every larger k.
+    for k in range(1, n + 1):
+        best[k] = max(best[k], best[k - 1])
+    return best[1:]
 
 
 def below(rng, bound):
@@ -84,6 +108,15 @@ class TestRskShape:
         for n in range(1, 8):
             for perm in permutations(range(1, n + 1)):
                 assert rsk_shape(perm).parts[0] == lis_length(perm)
+
+    def test_partial_sums_are_greene_exhaustive(self):
+        # Greene (1974): lambda_1 + ... + lambda_k is the size of the largest
+        # union of k increasing subsequences, that is of the largest
+        # subsequence without a decreasing subsequence of length k + 1.
+        for n in range(1, 8):
+            for perm in permutations(range(1, n + 1)):
+                parts = rsk_shape(perm).parts
+                assert greene_sums(perm) == [sum(parts[:k]) for k in range(1, n + 1)], perm
 
     @settings(max_examples=60, deadline=None)
     @given(st.permutations(list(range(1, 31))))
