@@ -10,13 +10,15 @@ and a row builder.  ``build_parser`` turns the table into argparse
 subcommands and ``_emit`` renders any entry's rows as CSV or JSON text, one
 string per row, joined once.  Rows hold library values; each format renders
 every cell through one table keyed by the cell's exact type (``_CSV``,
-``_JSON``) that returns the finished field.  CSV fields are quoted as
-``csv.writer``'s QUOTE_MINIMAL quotes them, which only str, partition and
-sequence text can need.  JSON is written in the layout of
-``json.dumps(payload, indent=2)``: str cells are escaped by json's C
-``encode_basestring_ascii``, and only the ``meta`` block and the extra
-payload pass through ``json.dumps``.  The tests keep ``csv.writer`` and the
-whole-payload ``json.dumps`` as the oracle for these bytes.
+``_JSON``) that returns the finished field.  The tables list every cell
+type a row builder emits: a cell of any other type is a builder defect,
+and it raises KeyError rather than reach the output as its str.  CSV
+fields are quoted as ``csv.writer``'s QUOTE_MINIMAL quotes them, which
+only str, partition and sequence text can need.  JSON is written in the
+layout of ``json.dumps(payload, indent=2)``: str cells are escaped by
+json's C ``encode_basestring_ascii``, and only the ``meta`` block and the
+extra payload pass through ``json.dumps``.  The tests keep ``csv.writer``
+and the whole-payload ``json.dumps`` as the oracle for these bytes.
 """
 
 from __future__ import annotations
@@ -50,14 +52,13 @@ from .symstats import (
 GAMMA_REFERENCE_TERMS = 40
 
 # Cell text by exact type: big integers as decimal strings, reals to 12
-# significant digits, sequences space-joined.  A type missing here is
-# rendered with str.
+# significant digits, sequences space-joined.
 _TEXT = {
     str: str, int: str, type(None): lambda v: "", bool: lambda v: "true" if v else "false",
     float: "{:.12g}".format, Fraction: lambda v: f"{float(v):.12g}",
     Partition: Partition.serialize, QPolynomial: QPolynomial.serialize,
 }
-_TEXT[tuple] = _TEXT[list] = lambda v: " ".join([_TEXT.get(type(x), str)(x) for x in v])
+_TEXT[tuple] = _TEXT[list] = lambda v: " ".join([_TEXT[type(x)](x) for x in v])
 
 # csv.writer(lineterminator="\n") quotes a field that holds a comma, a quote
 # or a newline, and from Python 3.13 one that holds a carriage return.
@@ -76,11 +77,6 @@ def _csv_field(text: str) -> str:
 # or more parts, and then it holds a comma and no quote.
 _CSV = _TEXT | {str: _csv_field, Partition: lambda v: f'"{v.serialize()}"' if len(v) > 1 else v.serialize()}
 _CSV[tuple] = _CSV[list] = lambda v: _csv_field(_TEXT[tuple](v))
-
-
-def _csv_other(v) -> str:
-    """A cell of a type missing from _CSV: its str, as a field."""
-    return _csv_field(str(v))
 
 
 _JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
@@ -105,7 +101,7 @@ def _json_seq(v, pad: str = "\n      ") -> str:
     if not v:
         return "[]"
     inner = pad + "  "
-    items = [_json_seq(x, inner) if type(x) in (tuple, list) else _JSON.get(type(x), _json_other)(x) for x in v]
+    items = [_json_seq(x, inner) if type(x) in (tuple, list) else _JSON[type(x)](x) for x in v]
     return "[" + inner + ("," + inner).join(items) + pad + "]"
 
 
@@ -118,11 +114,6 @@ _JSON = {
     Partition: lambda v: f'"{v.serialize()}"', QPolynomial: lambda v: f'"{v.serialize()}"',
     tuple: _json_seq, list: _json_seq,
 }
-
-
-def _json_other(v) -> str:
-    """A cell of a type missing from _JSON: its str, as a JSON string."""
-    return encode_basestring_ascii(str(v))
 
 
 class _Command(NamedTuple):
@@ -152,8 +143,7 @@ def _emit(args) -> str:
     cmd = args.cmd
     rows, extra = cmd.rows(args) if cmd.extra else (cmd.rows(args), {})
     if args.format == "csv":
-        cell = _CSV.get
-        fields = ([cell(type(v), _csv_other)(v) for v in row] for row in chain((cmd.columns,), rows))
+        fields = ([_CSV[type(v)](v) for v in row] for row in chain((cmd.columns,), rows))
         # csv.writer writes a row of one empty field as "", so that it reads back as a row.
         lines = [",".join(f) or '""' * len(f) for f in fields]
         lines.append("")
@@ -178,10 +168,9 @@ def _json_rows(columns, rows):
     long row's extra cells are dropped.
     """
     keys = [f"      {encode_basestring_ascii(c)}: " for c in columns]
-    cell = _JSON.get
     sep = "\n    "
     for row in rows:
-        body = ",\n".join([k + cell(type(v), _json_other)(v) for k, v in zip(keys, row)])
+        body = ",\n".join([k + _JSON[type(v)](v) for k, v in zip(keys, row)])
         yield f"{sep}{{\n{body}\n    }}" if body else sep + "{}"
         sep = ",\n    "
 

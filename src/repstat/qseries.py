@@ -191,16 +191,6 @@ class TruncatedSeries:
 
 
 _class_counts = [P_ONE]  # dense table of C_0, C_1, ..., grown on demand
-_log_terms = [()]  # same for a_0 = 0, a_1, ..., each as its nonzero terms
-
-
-def _log_term(k: int) -> tuple[tuple[int, int], ...]:
-    """Nonzero terms (e, c), meaning c q^e, of a_k(q) = sum_{r|k} r (q^(k/r) - 1)."""
-    while len(_log_terms) <= k:
-        j = len(_log_terms)
-        divisors = [r for r in range(1, j + 1) if j % r == 0]
-        _log_terms.append(((0, -sum(divisors)),) + tuple((j // r, r) for r in divisors))
-    return _log_terms[k]
 
 
 def feit_fine(nmax: int) -> tuple[QPolynomial, ...]:
@@ -217,20 +207,28 @@ def feit_fine(nmax: int) -> tuple[QPolynomial, ...]:
         raise ValueError(f"nmax must be nonnegative, got {nmax}")
     _check_cap(nmax, MAX_CLASS_COUNT_N, "nmax")
     table = _class_counts
-    while len(table) <= nmax:
-        n = len(table)
-        total = [0] * (n + 1)
-        for k in range(1, n + 1):
-            prev = table[n - k].coeffs
-            for e, c in _log_term(k):
-                for i, v in enumerate(prev, e):
-                    total[i] += c * v
-        if any(v % n for v in total):
-            raise IntegrityError(f"n*C_n is not divisible by n={n}")
-        poly = QPolynomial(v // n for v in total)
-        if poly.degree != n or poly.leading != 1:
-            raise IntegrityError(f"C_{n} is not monic of degree {n}: {poly}")
-        table.append(poly)
+    if len(table) <= nmax:
+        # a_k for k <= nmax as its nonzero terms (e, c), meaning c q^e, from
+        # one divisor sieve: (k/r, r) for each divisor r of k in increasing
+        # order, after the constant -sigma(k).
+        pairs = [[] for _ in range(nmax + 1)]
+        for r in range(1, nmax + 1):
+            for k in range(r, nmax + 1, r):
+                pairs[k].append((k // r, r))
+        log_terms = [((0, -sum(r for _, r in p)), *p) for p in pairs]
+        for n in range(len(table), nmax + 1):
+            total = [0] * (n + 1)
+            for k in range(1, n + 1):
+                prev = table[n - k].coeffs
+                for e, c in log_terms[k]:
+                    for i, v in enumerate(prev, e):
+                        total[i] += c * v
+            if any(v % n for v in total):
+                raise IntegrityError(f"n*C_n is not divisible by n={n}")
+            poly = QPolynomial(v // n for v in total)
+            if poly.degree != n or poly.leading != 1:
+                raise IntegrityError(f"C_{n} is not monic of degree {n}: {poly}")
+            table.append(poly)
     return tuple(table[: nmax + 1])
 
 

@@ -14,8 +14,9 @@ range can be split across workers without changing the stream.
 
 The n - 1 outputs a shuffle of n needs are computed lane-parallel, one
 big-int operation per finalizer step over all of them (SplitMix64.take).
-That is only a faster way to compute the same stream: the contract and
-its version are unchanged.
+That is only a faster way to compute the same stream: take and next_u64
+share one finalizer, _mix64, so the contract is written out once and its
+version is unchanged.
 """
 
 from __future__ import annotations
@@ -45,12 +46,18 @@ MAX_PLANCHEREL_N = 10_000
 MAX_PLANCHEREL_CELLS = 1_000_000
 
 
-def _mix64(z: int) -> int:
-    """splitmix64 output finalizer (Steele-Lea-Flood)."""
-    z &= _MASK64
-    z = ((z ^ (z >> 30)) * _MIX1) & _MASK64
-    z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
-    return z ^ (z >> 31)
+def _mix64(z: int, mask: int) -> int:
+    """splitmix64 output finalizer (Steele-Lea-Flood) of z, every step under mask.
+
+    _MASK64 finalizes one value.  A lane mask from _lanes finalizes every
+    lane of z at once and keeps each shift and product out of the next lane.
+    """
+    z &= mask
+    z ^= (z >> 30) & mask
+    z = (z * _MIX1) & mask
+    z ^= (z >> 27) & mask
+    z = (z * _MIX2) & mask
+    return z ^ ((z >> 31) & mask)
 
 
 @lru_cache(maxsize=1)
@@ -77,31 +84,25 @@ class SplitMix64:
 
     def next_u64(self) -> int:
         self._state = (self._state + _GAMMA) & _MASK64
-        return _mix64(self._state)
+        return _mix64(self._state, _MASK64)
 
     def take(self, count: int) -> tuple[int, ...]:
         """The next `count` outputs of next_u64, computed lane-parallel.
 
-        Each 64-bit state sits in its own 128-bit lane of one int, so a
-        finalizer step is one big-int operation over all lanes and the
-        lane mask keeps every 128-bit product out of its neighbour.
+        Each 64-bit state sits in its own 128-bit lane of one int, and
+        _mix64 finalizes all lanes at once under the lane mask.
         """
         if count < 0:
             raise ValueError(f"count must be non-negative, got {count}")
         ones, mask, steps, unpack = _lanes(count)
-        z = (self._state * ones + steps) & mask
+        z = _mix64(self._state * ones + steps, mask)
         self._state = (self._state + count * _GAMMA) & _MASK64
-        z ^= (z >> 30) & mask
-        z = (z * _MIX1) & mask
-        z ^= (z >> 27) & mask
-        z = (z * _MIX2) & mask
-        z ^= (z >> 31) & mask
         return unpack.unpack(z.to_bytes(16 * count, "little"))
 
 
 def substream(seed: int, index: int) -> SplitMix64:
     """Independent stream for sample `index` of a run seeded with `seed`."""
-    return SplitMix64(_mix64(seed) ^ _mix64(index + 1))
+    return SplitMix64(_mix64(seed, _MASK64) ^ _mix64(index + 1, _MASK64))
 
 
 def random_permutation(n: int, rng: SplitMix64) -> list[int]:

@@ -158,6 +158,11 @@ class TestFeitFine:
         qseries._class_counts[:] = [P_ONE]
         assert feit_fine(5) == big[:6]
         assert feit_fine(40) == big
+        # One n at a time: each call grows the table by one entry and runs the divisor sieve at that size.
+        qseries._class_counts[:] = [P_ONE]
+        steps = [feit_fine(n)[n] for n in range(61)]
+        qseries._class_counts[:] = [P_ONE]
+        assert tuple(steps) == feit_fine(60)
 
     @pytest.mark.parametrize(
         "corruption, match",
