@@ -16,9 +16,10 @@ and it raises KeyError rather than reach the output as its str.  CSV
 fields are quoted as ``csv.writer``'s QUOTE_MINIMAL quotes them, which
 only str, partition and sequence text can need.  JSON is written in the
 layout of ``json.dumps(payload, indent=2)``: str cells are escaped by
-json's C ``encode_basestring_ascii``, and only the ``meta`` block and the
-extra payload pass through ``json.dumps``.  The tests keep ``csv.writer``
-and the whole-payload ``json.dumps`` as the oracle for these bytes.
+json's C ``encode_basestring_ascii``, and only the ``meta`` block passes
+through ``json.dumps``.  Every JSON table is ``meta`` plus ``rows``.  The
+tests keep ``csv.writer`` and the whole-payload ``json.dumps`` as the
+oracle for these bytes.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ import json
 import os
 import re
 import sys
-from collections import Counter
 from fractions import Fraction
 from itertools import chain
 from json.encoder import encode_basestring_ascii
@@ -121,10 +121,9 @@ class _Command(NamedTuple):
 
     ``rows(args)`` returns an iterable of tuples in column order whose
     cells are library values (ints, floats, partitions, polynomials, ...),
-    formatted only through the cell tables; with ``extra`` set it returns
-    ``(rows, extra)`` and the dict ``extra`` joins the JSON payload.
-    Builders look library functions up by their global names at call time,
-    so a profiler that rebinds those names sees every call.
+    formatted only through the cell tables.  Builders look library
+    functions up by their global names at call time, so a profiler that
+    rebinds those names sees every call.
     """
 
     path: tuple[str, ...]
@@ -132,7 +131,6 @@ class _Command(NamedTuple):
     args: dict
     columns: tuple[str, ...]
     rows: Callable
-    extra: bool = False
 
 
 def _emit(args) -> str:
@@ -141,7 +139,7 @@ def _emit(args) -> str:
     Each row becomes one string, and the strings are joined once.
     """
     cmd = args.cmd
-    rows, extra = cmd.rows(args) if cmd.extra else (cmd.rows(args), {})
+    rows = cmd.rows(args)
     if args.format == "csv":
         fields = ([_CSV[type(v)](v) for v in row] for row in chain((cmd.columns,), rows))
         # csv.writer writes a row of one empty field as "", so that it reads back as a row.
@@ -150,9 +148,7 @@ def _emit(args) -> str:
         return "\n".join(lines)
     meta = {"invocation": " ".join(args.invocation), "version": __version__, "seed": getattr(args, "seed", None)}
     lines = ['{\n  "meta": ' + _json_nested(meta) + ',\n  "rows": [', *_json_rows(cmd.columns, rows)]
-    lines.append("\n  ]" if len(lines) > 1 else "]")
-    lines += [f",\n  {encode_basestring_ascii(k)}: {_json_nested(v)}" for k, v in extra.items()]
-    lines.append("\n}\n")
+    lines.append("\n  ]\n}\n" if len(lines) > 1 else "]\n}\n")
     return "".join(lines)
 
 
@@ -224,14 +220,12 @@ def _ratio_rows(a):
 def _kirillov_rows(a):
     report = kirillov_report(ALGEBRAS[a.alg], a.p)
     rows = []
-    for kind, sizes in (("orbit", report.orbit_sizes), ("class", report.class_sizes), ("dim", report.rep_dims)):
-        rows += [(kind, s, m, None) for s, m in sorted(Counter(sizes).items())]
+    for kind, pairs in (("orbit", report.orbit_sizes), ("class", report.class_sizes), ("dim", report.rep_dims)):
+        rows += [(kind, s, m, None) for s, m in pairs]
     rows.append(("group_order", report.group_order, None, None))
     rows.append(("match_kirillov", None, None, report.match_kirillov))
     rows.append(("match_naive", None, None, report.match_naive))
-    # Every report field as its JSON cell, read back as a value, except that p stays a number.
-    extra = {"report": {k: json.loads(_JSON[type(v)](v)) for k, v in report._asdict().items()} | {"p": report.p}}
-    return rows, extra
+    return rows
 
 
 def _int(text: str) -> int:
@@ -309,7 +303,7 @@ _COMMANDS = (
     _Command(
         ("kirillov",), "orbit method on unitriangular groups",
         {"--alg": {"choices": sorted(ALGEBRAS), "required": True}, "--p": _INT},
-        ("kind", "size", "multiplicity", "ok"), _kirillov_rows, extra=True,
+        ("kind", "size", "multiplicity", "ok"), _kirillov_rows,
     ),
 )
 

@@ -24,10 +24,11 @@ ranks and scales coordinate (i, j) by t_i / t_j, so the ranks are taken
 once per torus orbit: on each support, fix a spanning forest and set its
 entries to 1.  One walk over these representatives takes both ranks of
 each, of B_f and of ad_X, tallied with the representative's weight, and
-the report expands the two histograms {rank: number of orbits} into orbit
-sizes p^r, degrees p^(r/2) and class sizes p^s.  The closures these
-formulas replace (dense matrix searches and a sparse BFS over all p^dim
-states) are the oracles in tests/kirillov_oracles.py.
+the report keeps the two histograms {rank: number of orbits} as
+(value, multiplicity) pairs: orbit sizes p^r, degrees p^(r/2) and class
+sizes p^s.  The closures these formulas replace (dense matrix searches
+and a sparse BFS over all p^dim states) are the oracles in
+tests/kirillov_oracles.py.
 """
 
 from __future__ import annotations
@@ -38,10 +39,9 @@ from typing import NamedTuple
 from .symstats import IntegrityError, _check_cap
 
 # Largest group order p^dim the orbit tables will cover: ut4 up to p = 11,
-# heis3 up to p = 113.  The cap bounds p, not the output: the report lists
-# k(U) entries per kind (orbits, classes, degrees), the class number
-# p^2 + p - 1 for heis3 and 2p^3 + p^2 - 2p for ut4, so 12,881 at heis3/113
-# and 2,761 at ut4/11 against p^dim of 1,442,897 and 1,771,561.
+# heis3 up to p = 113.  The cap bounds p, and with it the rank walk over
+# the torus representatives; the report does not grow with p, as it holds
+# one (value, multiplicity) pair per rank, at most dim + 1 per kind.
 MAX_STATES = 2_000_000
 
 
@@ -259,9 +259,10 @@ class OrbitReport(NamedTuple):
     algebra: str
     p: int
     group_order: int
-    orbit_sizes: tuple[int, ...]
-    class_sizes: tuple[int, ...]
-    rep_dims: tuple[int, ...]  # square roots of the orbit sizes
+    # (value, multiplicity) pairs in ascending value.
+    orbit_sizes: tuple[tuple[int, int], ...]
+    class_sizes: tuple[tuple[int, int], ...]
+    rep_dims: tuple[tuple[int, int], ...]  # square roots of the orbit sizes
     match_kirillov: bool
     match_naive: bool
 
@@ -274,9 +275,9 @@ def kirillov_report(alg: NilAlgebra, p: int) -> OrbitReport:
     orbits must equal the number of conjugacy classes, as it does for
     every algebra group.
 
-    match_kirillov: the squared orbit-size roots sum to the group order
-    and the number of fixed functionals equals the order of the
-    abelianization (the count of 1-dimensional representations).
+    match_kirillov: the squared degrees, with multiplicity, sum to the
+    group order and the number of fixed functionals equals the order of
+    the abelianization (the count of 1-dimensional representations).
 
     match_naive: the orbit-size multiset coincides with the class-size
     multiset; false already for heis3, echoing the order-8 nilpotent
@@ -294,14 +295,13 @@ def kirillov_report(alg: NilAlgebra, p: int) -> OrbitReport:
     for rank in orbits:
         if rank % 2:
             raise IntegrityError(f"orbit size {p**rank} is not an even power of {p}")
-    orbit_ranks = [r for r in orbits for _ in range(orbits[r])]
-    orbit_sizes = tuple(p**r for r in orbit_ranks)
-    class_sizes = tuple(p**s for s in classes for _ in range(classes[s]))
+    orbit_sizes = tuple((p**r, m) for r, m in orbits.items())
+    class_sizes = tuple((p**s, m) for s, m in classes.items())
     group_order = p**alg.dim
-    rep_dims = tuple(p ** (r // 2) for r in orbit_ranks)
-    fixed = orbits.get(0, 0)
+    rep_dims = tuple((p ** (r // 2), m) for r, m in orbits.items())
     abelianization = p ** (alg.dim - alg.derived_dim)
-    match_kirillov = sum(d * d for d in rep_dims) == group_order and fixed == abelianization
+    match_kirillov = sum(m * d * d for d, m in rep_dims) == group_order and orbits.get(0, 0) == abelianization
+    # Both sides ascend with distinct values, so this is multiset equality.
     match_naive = orbit_sizes == class_sizes
     return OrbitReport(
         algebra=alg.name,

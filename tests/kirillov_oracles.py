@@ -8,11 +8,17 @@ engine the library used before the rank formulas.  The truncated exp/log
 pair lives here too; nothing in the library needs it.
 """
 
+from collections import Counter
 from functools import lru_cache
 from math import factorial
 from operator import mul
 
 from repstat.kirillov import NilAlgebra
+
+
+def pairs(flat) -> tuple[tuple[int, int], ...]:
+    """A flat list of sizes as (size, multiplicity) pairs in ascending size, the report's shape."""
+    return tuple(sorted(Counter(flat).items()))
 
 
 def _mat_mul(a, b, p: int):

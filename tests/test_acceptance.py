@@ -178,15 +178,15 @@ def test_criterion_09_kirillov():
         for p in primes:
             report = kirillov_report(alg, p)
             even_powers = True
-            for size in report.orbit_sizes:
+            for size, _ in report.orbit_sizes:
                 s, e = size, 0
                 while s % p == 0:
                     s //= p
                     e += 1
                 even_powers = even_powers and s == 1 and e % 2 == 0
             good = (
-                sum(report.orbit_sizes) == p**alg.dim
-                and len(report.orbit_sizes) == len(report.class_sizes)
+                sum(s * m for s, m in report.orbit_sizes) == p**alg.dim
+                and sum(m for _, m in report.orbit_sizes) == sum(m for _, m in report.class_sizes)
                 and even_powers
                 and report.match_kirillov
             )

@@ -7,6 +7,7 @@ import hashlib
 import io
 import json
 import os
+import shutil
 import subprocess
 import sys
 import time
@@ -20,12 +21,13 @@ from hypothesis import example, given, settings, strategies as st
 from repstat import __version__, cli
 from repstat.cli import main
 from repstat.partitions import Partition, partition_count
-from repstat.kirillov import OrbitReport
 from repstat.qseries import (
     MAX_CENSUS_Q_BITS, MAX_CLASS_COUNT_N, MAX_GAUSS_ORDER, MAX_POLY_N, MAX_RATIO_BITS, QPolynomial,
 )
 from repstat.rsk import MAX_PLANCHEREL_CELLS, MAX_PLANCHEREL_N
 from repstat.symstats import MAX_HIST_BINS, MAX_SWEEP_N
+
+from golden import GOLDEN
 
 
 def run_cli(capsys, *argv):
@@ -37,6 +39,18 @@ def run_cli(capsys, *argv):
 def parse_csv(text):
     rows = list(csv.reader(io.StringIO(text)))
     return rows[0], rows[1:]
+
+
+def same_cell(cell, value):
+    """Whether a CSV field and a JSON value render the same cell."""
+    if isinstance(value, list):
+        parts = cell.split()
+        return len(parts) == len(value) and all(map(same_cell, parts, value))
+    if isinstance(value, float):
+        return float(cell) == value
+    if value is None or isinstance(value, bool):
+        return cell == ("" if value is None else "true" if value else "false")
+    return cell == value
 
 
 def sweep_child(stdout, n=26):
@@ -100,19 +114,19 @@ class TestDeterminismAndFormats:
         second = run_cli(capsys, "sym", "plancherel", "--n", "8", "--count", "20", "--seed", "5")
         assert first == second
 
-    def test_csv_json_numeric_parity(self, capsys):
-        _, out_csv, _ = run_cli(capsys, "sym", "sweep", "--n", "6")
-        _, out_json, _ = run_cli(capsys, "sym", "sweep", "--n", "6", "--format", "json")
+    @pytest.mark.parametrize("argv", [g[0] for g in GOLDEN])
+    def test_csv_json_numeric_parity(self, capsys, argv):
+        # Every table's JSON is meta plus rows, and each row holds its CSV row's cells.
+        _, out_csv, _ = run_cli(capsys, *argv.split())
+        _, out_json, _ = run_cli(capsys, *argv.split(), "--format", "json")
         header, rows = parse_csv(out_csv)
         payload = json.loads(out_json)
+        assert list(payload) == ["meta", "rows"]
         assert len(payload["rows"]) == len(rows)
         for csv_row, json_row in zip(rows, payload["rows"]):
+            assert list(json_row) == header[: len(csv_row)]
             for name, cell in zip(header, csv_row):
-                value = json_row[name]
-                if isinstance(value, float):
-                    assert float(cell) == value
-                else:
-                    assert cell == value
+                assert same_cell(cell, json_row[name]), (name, cell, json_row[name])
 
     def test_json_meta(self, capsys):
         _, out, _ = run_cli(
@@ -374,59 +388,12 @@ class TestTables:
     def test_kirillov_report(self, capsys):
         code, out, _ = run_cli(capsys, "kirillov", "--alg", "heis3", "--p", "3", "--format", "json")
         payload = json.loads(out)
-        report = payload["report"]
-        assert code == 0
-        assert report["algebra"] == "heis3" and report["p"] == 3
-        assert report["group_order"] == "27"
-        assert report["match_kirillov"] is True
-        assert report["match_naive"] is False
-        assert sorted(set(report["orbit_sizes"])) == ["1", "9"]
-        assert list(report) == list(OrbitReport._fields)
-
-
-# SHA-256 of stdout for one small invocation of every command, in CSV and
-# in JSON, as the per-command emitters produced them before the CLI became
-# one command table; any change to a table's bytes shows here.
-GOLDEN = [
-    ("sym sweep --n 6", "8792adc09117445941556f3707cfb7465e751f85df0f672182cf8b94fcb19bac", "b9370bc9e0cf012a399aa13684880f1d1bec44265394e8ce5bed388f03ea1008"),
-    ("sym hist --n 10 --what dim --bins 6", "a4484e2016d7bf93f17cc39a9036f39822414c931b75f2b70b9545241dfdb4ce", "08f30dae4bb6d6de24786beb9b62ee46d9e4c51c1673922c348194632f7746a4"),
-    ("sym angle --nmax 8", "0f2ade10833685e7e04e1ef84985d05dce53bcad79103c136c939d9ad228b9b5", "79bd3bb3e0fb16c579d2c7113e0d923c9d938d66bddeee886a2d31bc1ded6e13"),
-    ("sym intervals --n 7 --alpha 0.3 --beta 0.8", "5b8f5cc58dc0a186d662728f2115ea07a8aed3ac0e380198e2fc4bb538490470", "10425f24ce8b20855f2828b05ed0ec23e32782ec85078d81e5ec6a9a7bda3acb"),
-    ("sym layers --n 6", "f6e3e95222d8f99ca6e5dcfb8f50c53421ba3d7812bce5d79e72a7f2cf65322e", "f7d1e17a8fc5bb1d80574234676e0566b22226baadfa94593ed075a97f98d134"),
-    ("sym maxdim --nmax 6", "6dabdc2ae2a79264ad6af60f682196102416c94f4202a0b137e93837bf3dc6e2", "e373133d297dc4bc78c00ed25a559791e551414d6c56ed37c6c311dbb64143a9"),
-    ("sym plancherel --n 8 --count 5 --seed 3", "598674890d108306a2e50a3e022cb2e2cd6cb10e917874d0c31dc3289f42c138", "4baaf1760aa62cb0ddda2c4585891294c9f65bcdcf4a8713a797b1287776efd1"),
-    ("gl gow --nmax 4", "375b0b2af57793e61bcb691b4a5ab8a4085af66aa7b726137f0d27dd76381090", "5a6a518803407a8a9d3cbc909b4dbef7227357eb7dfc3a01140d9dfe2e26de09"),
-    ("gl classes --nmax 5", "a3ec8f778d1652894b0508262cec887f9ea51830f538f93263c35567f717b5db", "0d244b5772182df8972e25eee065e170a4b029d7a5c9dca6b9f198bba523fa26"),
-    ("gl order --nmax 3", "52bd4040dcb857898b5096a03a62ccf3e383bd7a4c7e3624047f50394d2ffab3", "07b1dc71299d490304b67ae74660368d4bb4e4a87f8fb1b7db77e2748340903e"),
-    ("gl ratio --nmax 6 --q 2", "3df0230d2beab5ef0e17fda5accf21921159a57a45aedce725382c0b6cc21a43", "5b19ab630ef6f34d6c4d81ad729c99b3fb893b336a49e6cad6b0408a74d74c57"),
-    ("gl census --q 3", "ef9448ab0ed861d174b7b717a28b34b8bcd689f6f44e7de044e7e96143bdc46c", "6cab82ef7e54026acfa50f7004cc29df1a8d52ff03d7f65ef30f89fe03831615"),
-    # q = 2 has the zero-count principal-series row; q = 8 is an even prime power.
-    ("gl census --q 2", "449ae4edf8de3a539f3cff7cd40be97812d4754c746a79e2100b11d43a2d3889", "1a18599a2e1a7f87d36e8498295ebb80162f954570db3026eab1ffb2fc9bfe80"),
-    ("gl census --q 8", "e0e9fa038d99c3e4946780b7351774a8243e5c0c4448bceac736296741781664", "0d25dbe5050afc86324135bc9f2e509a68984ca4336ca1cb6d7c30da917a31ef"),
-    ("gl gauss --order 25", "c0188b35f9eb4edfde918bfafd66e2d30dbc4b3d47c542ec744fb73f6934b0d3", "0b1969261fe16f3cfa1f5f364c2980864ceff55dce4ff8112ce8ae63263cf1fc"),
-    ("kirillov --alg heis3 --p 3", "bdc7e2ccfa845d6704bb8363d86ca7f9d396834c624ae5d951f9830f36019d09", "e9f888f85f8e03f577368b13b080d3fd789e814667f024e0fb5a074a61ef3996"),
-    # Sizes where class sizes and n! pass 64 bits, so ln_big takes its shifted path.
-    ("sym sweep --n 30", "d8e5788e860c704ac5ba8cedad18860c797ccdd80cd20a4cfb047358860f4e6d", "dc071648217ab23c3eb359b958b2e46facd972caf3b4961b1b3d060b26938676"),
-    ("sym layers --n 24", "ec9b5416c47da0a09faf02a6e94735834f02cc81b39a29951c22789c7b344219", "4dd933fa2ecc311ade2b93260031efffcbc5371ae93299df323c558d895e911f"),
-    ("sym maxdim --nmax 24", "9de8b778bcf6db7b4b412a3e3065933b1ce281ae26e16b7529c88d6d1a906ad4", "83fdd5ebcedc39480349438d057960435c153c8b2b1390317058dda0bf481415"),
-    # Above the n = 30 pin: rows built by the bottom-up row walk, hashed from
-    # the top-down per-partition hook products it replaced.
-    ("sym sweep --n 36", "1dd81c7b8908f99a646f5850e85d9ec5ef31b0d039225096b936ebde79782c90", "fc4c4ac4cfae396eb91d505c3485270262d234d6ebfb4db3cb3bee706353de24"),
-    ("sym hist --n 26 --what class --bins 20", "d89a37ab692a31c6a06a67e59ee395ae6f647d6d02c7ad4cf85fb138595ff3b1", "868d34ac46d45200db97d3736b9c8b9be5c4c667df1df486d5b6ccff2ce9ea06"),
-    # A size the orbit benchmark does not run, hashed from the BFS engine's output.
-    ("kirillov --alg ut4 --p 7", "a22719b7eee4d1b6a1f43464ccafcd8a0a40f6e54c5cdaaa40a3a9631d2f6d35", "1af09403416d922dedeba2feec2234209f866b9eb3b0c5a2adcdc9cdb99f18b6"),
-    # 20 x 999 stream outputs, hashed from the one-draw-per-step shuffle.
-    ("sym plancherel --n 1000 --count 20 --seed 11", "95915ce21c4ab7e3f5948beca238d2ca1889073599067209ec1c74e590aead96", "5418bac6fe27bb0f7eb8d65acb5a6790113021b8f6df4c13a6687ac10c8f72cf"),
-    # Benchmark sizes of the Fraction cells and of the polynomial and
-    # coefficient-tuple cells, hashed before every cell went through one
-    # table per format; the benchmark compares real columns only to 1e-11.
-    ("gl ratio --nmax 40 --q 7", "0b01ece074bbd036fc6b4c3e31b12372056ec89eb5cb88a131baea8c4ab9d513", "a3626a2a85a5597c33e0786824675d623021262e87bd8b78405b33567fddf747"),
-    ("gl classes --nmax 60", "71fe617efc2ef37d90f010f1055874e8bb298a7325422ef5c60b19be5c1b85d1", "fab5a72d410b3004730042a9915cdaacb55b9770583ce92d21d40b1c6e0dcd79"),
-    # The polynomial cap, above the benchmark's 40 and 30, hashed from the
-    # (q^a - q^b) pair products that the q^s * prod (q^e - 1) form replaced.
-    ("gl gow --nmax 60", "cd969e9313825d9c36c3295f3ae24e76168710a3d505da3a57df52eba98b77c5", "a99e115191fe5b2d9e2a02558d38e235e0e28d0962c7a3f9d4c3dbcc7e520e8d"),
-    ("gl order --nmax 60", "18756d88a0e8638563dc644e0904aadf0f1dfd4617faa9d433b16433ad1fb7cb", "e7fb8a9ba0d22f58c06ed7be308e300428cecbdbc4c74f6074e4726747f47eff"),
-]
+        assert code == 0 and list(payload) == ["meta", "rows"]
+        rows = payload["rows"]
+        assert {r["size"]: r["multiplicity"] for r in rows if r["kind"] == "orbit"} == {"1": "9", "9": "2"}
+        assert [r["size"] for r in rows if r["kind"] == "group_order"] == ["27"]
+        checks = {r["kind"]: r["ok"] for r in rows if r["kind"].startswith("match")}
+        assert checks == {"match_kirillov": True, "match_naive": False}
 
 
 class TestGolden:
@@ -450,6 +417,17 @@ class TestGolden:
         code, out, _ = run_cli(capsys, "sym", "sweep", "--n", "4")
         assert code == 0 and calls == [(4,)]
         assert len(parse_csv(out)[1]) == partition_count(4)
+
+    @pytest.mark.parametrize("python", ["python3.10", "python3.12", "python3.13"])
+    def test_replay_under_other_pythons(self, python):
+        # The pins hold on every supported Python, and golden.py replays them with the standard library alone.
+        exe = shutil.which(python)
+        if exe is None or subprocess.run([exe, "-c", ""], capture_output=True).returncode:
+            pytest.skip(f"{python} is not on PATH or does not start")
+        script = Path(__file__).with_name("golden.py")
+        proc = subprocess.run([exe, str(script)], capture_output=True, text=True, env=child_env(), timeout=300)
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        assert f"outputs match on Python {python[len('python'):]}." in proc.stdout
 
     def test_every_command_has_a_golden_entry(self):
         pinned = {tuple(argv.split()) for argv, *_ in GOLDEN}
@@ -498,7 +476,7 @@ CELLS_JSON_ROW = """{
 
 def _rows(argv):
     args = cli.build_parser().parse_args(argv)
-    return args.cmd.rows(args)[0] if args.cmd.extra else args.cmd.rows(args)
+    return args.cmd.rows(args)
 
 
 class TestConsoleScript:
@@ -587,7 +565,7 @@ OLD_JSON[tuple] = OLD_JSON[list] = lambda v: [OLD_JSON.get(type(x), str)(x) for 
 
 def oracle_emit(args):
     cmd = args.cmd
-    rows, extra = cmd.rows(args) if cmd.extra else (cmd.rows(args), {})
+    rows = cmd.rows(args)
     if args.format == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
@@ -601,7 +579,6 @@ def oracle_emit(args):
             "seed": getattr(args, "seed", None),
         },
         "rows": [{c: OLD_JSON.get(type(v), str)(v) for c, v in zip(cmd.columns, row)} for row in rows],
-        **extra,
     }
     return json.dumps(payload, indent=2) + "\n"
 
@@ -624,11 +601,6 @@ EDGE_ROW = (
     float("nan"), float("inf"), float("-inf"), -0.0, 1e16, 10**4299, -(10**40), Fraction(-7, 3), True, None,
     "a,b", 'say "hi"', "cr\rlf", "line\nbreak", "é€😀", "", (1, [2.5, ("c,d", None)], []),
 )
-JSON_VALUE = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.floats() | TEXT,
-    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(TEXT, inner, max_size=3),
-    max_leaves=4,
-)
 
 
 class TestWriterOracle:
@@ -638,15 +610,14 @@ class TestWriterOracle:
     @given(
         columns=st.lists(TEXT, unique=True, max_size=5),
         rows=st.lists(st.lists(CELL, max_size=6).map(tuple), max_size=4),
-        extra=st.dictionaries(TEXT.filter(lambda k: k not in ("meta", "rows")), JSON_VALUE, max_size=2),
         seed=st.none() | st.integers(),
     )
-    @example(columns=["c"], rows=[("",)], extra={}, seed=None)  # a row of one empty field
-    @example(columns=[], rows=[()], extra={}, seed=None)  # a row of no fields
-    @example(columns=["a", "b"], rows=[("x",), ("x", 1, 2.5)], extra={"report": {"p": 3, "n": [1.5]}}, seed=7)
-    @example(columns=[f"c{i}" for i in range(len(EDGE_ROW))], rows=[EDGE_ROW, EDGE_ROW[::-1]], extra={}, seed=0)
-    def test_bytes_match_the_old_writer(self, columns, rows, extra, seed):
-        cmd = cli._Command(("x",), "", {}, tuple(columns), lambda a: (rows, extra), extra=True)
+    @example(columns=["c"], rows=[("",)], seed=None)  # a row of one empty field
+    @example(columns=[], rows=[()], seed=None)  # a row of no fields
+    @example(columns=["a", "b"], rows=[("x",), ("x", 1, 2.5)], seed=7)
+    @example(columns=[f"c{i}" for i in range(len(EDGE_ROW))], rows=[EDGE_ROW, EDGE_ROW[::-1]], seed=0)
+    def test_bytes_match_the_old_writer(self, columns, rows, seed):
+        cmd = cli._Command(("x",), "", {}, tuple(columns), lambda a: rows)
         for fmt in ("csv", "json"):
             args = argparse.Namespace(cmd=cmd, format=fmt, invocation=["x", "--seed", "7"], seed=seed)
             assert cli._emit(args) == oracle_emit(args)

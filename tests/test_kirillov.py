@@ -10,8 +10,7 @@ import os
 import subprocess
 import sys
 import time
-from collections import Counter
-from math import comb
+from math import comb, isqrt
 from pathlib import Path
 
 import pytest
@@ -39,6 +38,7 @@ from kirillov_oracles import (
     log_element,
     oracle_coadjoint_orbits,
     oracle_conjugacy_classes,
+    pairs,
 )
 
 
@@ -105,26 +105,26 @@ class TestExpLog:
 
 class TestOrbits:
     def test_heis3_p3(self):
-        assert Counter(kirillov_report(HEIS3, 3).orbit_sizes) == {1: 9, 9: 2}
+        assert dict(kirillov_report(HEIS3, 3).orbit_sizes) == {1: 9, 9: 2}
 
     def test_heis3_p5(self):
-        assert Counter(kirillov_report(HEIS3, 5).orbit_sizes) == {1: 25, 25: 4}
+        assert dict(kirillov_report(HEIS3, 5).orbit_sizes) == {1: 25, 25: 4}
 
     def test_sizes_partition_dual_space(self):
         for p in (3, 5):
-            assert sum(kirillov_report(HEIS3, p).orbit_sizes) == p**3
+            assert sum(s * m for s, m in kirillov_report(HEIS3, p).orbit_sizes) == p**3
 
 
 class TestClasses:
     def test_heis3_p3(self):
-        assert Counter(kirillov_report(HEIS3, 3).class_sizes) == {1: 3, 3: 8}
+        assert dict(kirillov_report(HEIS3, 3).class_sizes) == {1: 3, 3: 8}
 
     def test_heis3_p5(self):
-        assert Counter(kirillov_report(HEIS3, 5).class_sizes) == {1: 5, 5: 24}
+        assert dict(kirillov_report(HEIS3, 5).class_sizes) == {1: 5, 5: 24}
 
     def test_center_is_fixed(self):
-        sizes = kirillov_report(HEIS3, 3).class_sizes
-        assert sizes.count(1) == 3  # identity plus the order-3 center
+        sizes = dict(kirillov_report(HEIS3, 3).class_sizes)
+        assert sizes[1] == 3  # identity plus the order-3 center
 
 
 ORACLE_CASES = [(HEIS3, 3), (HEIS3, 5), (HEIS3, 7), (UT4, 5)]
@@ -138,11 +138,11 @@ def _case_id(v):
 class TestAgainstOracle:
     @pytest.mark.parametrize("alg, p", ORACLE_CASES, ids=_case_id)
     def test_conjugacy_classes(self, alg, p):
-        assert kirillov_report(alg, p).class_sizes == oracle_conjugacy_classes(alg, p)
+        assert kirillov_report(alg, p).class_sizes == pairs(oracle_conjugacy_classes(alg, p))
 
     @pytest.mark.parametrize("alg, p", ORACLE_CASES, ids=_case_id)
     def test_coadjoint_orbits(self, alg, p):
-        assert kirillov_report(alg, p).orbit_sizes == oracle_coadjoint_orbits(alg, p)
+        assert kirillov_report(alg, p).orbit_sizes == pairs(oracle_coadjoint_orbits(alg, p))
 
     def test_ut4_p5_classes_by_hand(self):
         # For q = 5: q central classes of size 1, q^2 - 1 of size q,
@@ -151,35 +151,35 @@ class TestAgainstOracle:
         expected = {1: 5, 5: 24, 25: 140, 125: 96}
         assert sum(expected.values()) == 265
         assert sum(size * count for size, count in expected.items()) == 5**6
-        assert Counter(kirillov_report(UT4, 5).class_sizes) == expected
+        assert dict(kirillov_report(UT4, 5).class_sizes) == expected
 
     def test_ut4_p5_orbits_by_hand(self):
         # q^3 fixed functionals, q^3 - q orbits of size q^2 and q^2 - q of
         # size q^4: the degrees 1, q, q^2 of the irreducible characters.
-        assert Counter(kirillov_report(UT4, 5).orbit_sizes) == {1: 125, 25: 120, 625: 20}
+        assert dict(kirillov_report(UT4, 5).orbit_sizes) == {1: 125, 25: 120, 625: 20}
 
     @pytest.mark.parametrize("alg, p", BFS_CASES, ids=_case_id)
     def test_rank_engine_matches_bfs(self, alg, p):
         report = kirillov_report(alg, p)
-        assert report.orbit_sizes == bfs_coadjoint_orbits(alg, p)
-        assert report.class_sizes == bfs_conjugacy_classes(alg, p)
+        assert report.orbit_sizes == pairs(bfs_coadjoint_orbits(alg, p))
+        assert report.class_sizes == pairs(bfs_conjugacy_classes(alg, p))
 
     @pytest.mark.parametrize("q", [7, 11])
     def test_ut4_closed_forms(self, q):
         classes = {1: q, q: q**2 - 1, q**2: q * (q - 1) * (q + 2), q**3: (q - 1) ** 2 * (q + 1)}
         assert sum(classes.values()) == 2 * q**3 + q**2 - 2 * q
         report = kirillov_report(UT4, q)
-        assert Counter(report.class_sizes) == classes
-        assert Counter(report.orbit_sizes) == {1: q**3, q**2: q**3 - q, q**4: q**2 - q}
+        assert dict(report.class_sizes) == classes
+        assert dict(report.orbit_sizes) == {1: q**3, q**2: q**3 - q, q**4: q**2 - q}
 
     @pytest.mark.parametrize("p", [11, 13])
     def test_heis3_closed_forms(self, p):
         # p central classes and p^2 - 1 of size p; p^2 linear characters
         # and p - 1 of degree p.
         report = kirillov_report(HEIS3, p)
-        assert Counter(report.class_sizes) == {1: p, p: p**2 - 1}
-        assert Counter(report.orbit_sizes) == {1: p**2, p**2: p - 1}
-        assert len(report.class_sizes) == p**2 + p - 1
+        assert dict(report.class_sizes) == {1: p, p: p**2 - 1}
+        assert dict(report.orbit_sizes) == {1: p**2, p**2: p - 1}
+        assert sum(m for _, m in report.class_sizes) == p**2 + p - 1
 
 
 class TestGuards:
@@ -303,30 +303,33 @@ class TestRankIntegrity:
 class TestReport:
     def test_heis3_p3(self):
         report = kirillov_report(HEIS3, 3)
-        assert Counter(report.rep_dims) == {1: 9, 3: 2}
-        assert sum(d * d for d in report.rep_dims) == 27
+        assert dict(report.rep_dims) == {1: 9, 3: 2}
+        assert sum(m * d * d for d, m in report.rep_dims) == 27
         assert report.match_kirillov
         assert not report.match_naive
-        assert len(report.orbit_sizes) == len(report.class_sizes) == 11
+        assert sum(m for _, m in report.orbit_sizes) == sum(m for _, m in report.class_sizes) == 11
 
     def test_fixed_orbits_count_abelianization(self):
         for alg, p in ((HEIS3, 3), (HEIS3, 5), (UT4, 5)):
             report = kirillov_report(alg, p)
-            fixed = sum(1 for s in report.orbit_sizes if s == 1)
+            fixed = sum(m for s, m in report.orbit_sizes if s == 1)
             assert fixed == p ** (alg.dim - alg.derived_dim)
 
     def test_ut4_p5(self):
         report = kirillov_report(UT4, 5)
         assert report.group_order == 5**6
-        assert sum(report.orbit_sizes) == 5**6
-        assert len(report.orbit_sizes) == len(report.class_sizes)
+        assert sum(s * m for s, m in report.orbit_sizes) == 5**6
+        n_classes = sum(m for _, m in report.class_sizes)
+        assert sum(m for _, m in report.orbit_sizes) == n_classes
         # Published class count of the 4x4 unitriangular group: 2q^3+q^2-2q.
-        assert len(report.class_sizes) == 2 * 125 + 25 - 10
+        assert n_classes == 2 * 125 + 25 - 10
         assert report.match_kirillov
 
     def test_orbit_sizes_even_p_powers(self):
         for alg, p in ((HEIS3, 3), (HEIS3, 7), (UT4, 5)):
-            for size in kirillov_report(alg, p).orbit_sizes:
+            report = kirillov_report(alg, p)
+            assert report.rep_dims == tuple((isqrt(s), m) for s, m in report.orbit_sizes)
+            for size, _ in report.orbit_sizes:
                 e = 0
                 while size % p == 0:
                     size //= p

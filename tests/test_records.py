@@ -12,7 +12,7 @@ from repstat.kirillov import NilAlgebra, OrbitReport
 from repstat.symstats import AngleReport, DimRecord, Histogram, IntervalCounts
 
 # Field names in order: the CLI prints AngleReport and IntervalCounts as
-# rows and the kirillov JSON report keys follow OrbitReport.
+# rows, and reads OrbitReport's (value, multiplicity) pairs by name.
 RECORDS = [
     (DimRecord, ("lam", "dim", "class_size", "log_dim_sq", "log_class")),
     (AngleReport, ("n", "sum_dim", "sum_dim_sq", "count", "cos_sq", "log_ratio", "predicted_log")),
