@@ -21,14 +21,14 @@ p^rank(B_f) elements, where B_f(x, y) = f([x, y]), and the class of 1 + X
 has p^rank(ad_X) elements.  So the number of orbits of size p^r is the
 number of vectors of rank r divided by p^r.  The diagonal torus keeps both
 ranks and scales coordinate (i, j) by t_i / t_j, so the ranks are taken
-once per torus orbit: on each support, fix a spanning forest and set its
-entries to 1.  One walk over these representatives takes both ranks of
-each, of B_f and of ad_X, tallied with the representative's weight, and
-the report keeps the two histograms {rank: number of orbits} as
-(value, multiplicity) pairs: orbit sizes p^r, degrees p^(r/2) and class
-sizes p^s.  The closures these formulas replace (dense matrix searches
-and a sparse BFS over all p^dim states) are the oracles in
-tests/kirillov_oracles.py.
+once per torus orbit: each algebra fixes a spanning forest of every
+support when it is built, and a representative has 1 on its forest.  One
+walk over the representatives, sum over supports of (p - 1)^|free| of
+them and capped by that count, takes both ranks of each, tallied with its
+weight, and the report keeps the two histograms {rank: number of orbits}
+as (value, multiplicity) pairs: orbit sizes p^r, degrees p^(r/2) and
+class sizes p^s.  The closures these formulas replace (dense matrix
+searches, a sparse BFS over all p^dim states) are tests/kirillov_oracles.py.
 """
 
 from __future__ import annotations
@@ -38,11 +38,11 @@ from typing import NamedTuple
 
 from .symstats import IntegrityError, _check_cap
 
-# Largest group order p^dim the orbit tables will cover: ut4 up to p = 11,
-# heis3 up to p = 113.  The cap bounds p, and with it the rank walk over
-# the torus representatives; the report does not grow with p, as it holds
-# one (value, multiplicity) pair per rank, at most dim + 1 per kind.
-MAX_STATES = 2_000_000
+# Most torus representatives the rank walk may take two ranks of: ut4 up
+# to p = 31 (33,008, about 1.5 s on a shared 2-CPU Xeon with Python 3.11),
+# heis3 up to p = 49,993 (about 1 s).  The report holds one (value,
+# multiplicity) pair per rank, at most dim + 1 per kind, whatever p is.
+MAX_TORUS_REPRESENTATIVES = 50_000
 
 
 class UnsupportedCharacteristicError(ValueError):
@@ -58,7 +58,8 @@ class NilAlgebra(NamedTuple):
     constants: a sorted tuple of triples (a, b, k) with a < b, each meaning
     [e_a, e_b] = e_k.  Every basis bracket of a pair a < b that is not
     listed is zero.  The constants are integers, reduced mod p only at use
-    time.
+    time.  supports holds, per support mask in mask order, the coordinates
+    of its spanning forest (a graph on the matrix indices) and the rest.
     """
 
     name: str
@@ -68,6 +69,7 @@ class NilAlgebra(NamedTuple):
     brackets: tuple[tuple[int, int, int], ...]
     nilpotency_class: int
     derived_dim: int
+    supports: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
 
 
 def _nil_algebra(name: str, m: int, positions, brackets) -> NilAlgebra:
@@ -100,6 +102,20 @@ def _nil_algebra(name: str, m: int, positions, brackets) -> NilAlgebra:
         if nxt == layer:
             raise IntegrityError(f"{name} is not nilpotent")
         layer = nxt
+
+    # Spanning forest of each support, taking its edges in position order.
+    supports = []
+    for mask in range(1 << dim):
+        component, forest, free = list(range(m)), [], []
+        for k, (i, j) in enumerate(positions):
+            if mask >> k & 1:
+                ci, cj = component[i], component[j]
+                if ci == cj:
+                    free.append(k)
+                else:
+                    forest.append(k)
+                    component = [cj if c == ci else c for c in component]
+        supports.append((tuple(forest), tuple(free)))
     return NilAlgebra(
         name=name,
         matrix_size=m,
@@ -108,6 +124,7 @@ def _nil_algebra(name: str, m: int, positions, brackets) -> NilAlgebra:
         brackets=brackets,
         nilpotency_class=len(series) - 1,
         derived_dim=len(series[1]),
+        supports=tuple(supports),
     )
 
 
@@ -137,7 +154,7 @@ def _is_prime(p: int) -> bool:
 
 
 def check_prime(alg: NilAlgebra, p: int) -> None:
-    """Admissibility: p^dim within MAX_STATES, and prime p with p > nilpotency class.
+    """Admissibility: the rank walk within MAX_TORUS_REPRESENTATIVES, and prime p > nilpotency class.
 
     This is the orbit method's requirement: Kirillov's correspondence for a
     p-group rests on the truncated exp/log series, which divide by k! for
@@ -145,11 +162,12 @@ def check_prime(alg: NilAlgebra, p: int) -> None:
     boundary cases p = 2 (heis3) and p in {2, 3} (ut4) are exactly where
     exp/log break down.  The rank formulas themselves hold for every p.
 
-    p^dim above MAX_STATES is refused first, so a huge p never reaches the
-    trial-division primality test.
+    The walk's sum over supports of (p - 1)^|free| representatives is
+    refused first, so a huge p never reaches the trial-division test.
     """
     if p > 1:
-        _check_cap(p**alg.dim, MAX_STATES, f"states {p}^{alg.dim}")
+        walk = sum((p - 1) ** len(free) for _, free in alg.supports)
+        _check_cap(walk, MAX_TORUS_REPRESENTATIVES, f"{alg.name} at p={p}: torus representatives")
     if not _is_prime(p):
         raise ValueError(f"p must be a prime, got {p}")
     if p <= alg.nilpotency_class:
@@ -162,32 +180,14 @@ def check_prime(alg: NilAlgebra, p: int) -> None:
 def _torus_representatives(alg: NilAlgebra, p: int):
     """One vector per diagonal-torus orbit on F_p^dim, with the orbit's size.
 
-    diag(t) scales coordinate (i, j) by t_i / t_j.  On the vectors with
-    support S, read S as a graph on the matrix indices and fix a spanning
-    forest of it: every torus orbit there has exactly one vector whose
-    forest entries are 1, and it holds (p - 1)^(edges of the forest)
-    vectors.  The other entries of S run over all nonzero values.
+    diag(t) scales coordinate (i, j) by t_i / t_j.  Each torus orbit on a
+    support has one vector with 1 on the support's forest (alg.supports),
+    and (p - 1)^(forest edges) vectors; free entries run over F_p^*.
     """
-    coords = [0] * alg.dim
-    for mask in range(1 << alg.dim):
-        root = list(range(alg.matrix_size))
-
-        def find(i):
-            while root[i] != i:
-                i = root[i]
-            return i
-
-        forest, free = [], []
-        for k, (i, j) in enumerate(alg.positions):
-            coords[k] = 0
-            if mask >> k & 1:
-                ri, rj = find(i), find(j)
-                if ri == rj:
-                    free.append(k)
-                else:
-                    root[ri] = rj
-                    forest.append(k)
-                    coords[k] = 1
+    for forest, free in alg.supports:
+        coords = [0] * alg.dim
+        for k in forest:
+            coords[k] = 1
         weight = (p - 1) ** len(forest)
         for values in product(range(1, p), repeat=len(free)):
             for k, v in zip(free, values):
@@ -270,7 +270,7 @@ class OrbitReport(NamedTuple):
 def kirillov_report(alg: NilAlgebra, p: int) -> OrbitReport:
     """Full orbit/class comparison for one algebra and prime.
 
-    The state cap and p are checked once, and one walk of the torus
+    The walk's cap and p are checked once, and one walk of the torus
     representatives gives both rank tallies.  The number of coadjoint
     orbits must equal the number of conjugacy classes, as it does for
     every algebra group.

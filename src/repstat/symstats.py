@@ -51,9 +51,9 @@ class IntegrityError(RuntimeError):
 class CapExceededError(RuntimeError):
     """A request exceeded one of the library's fixed size caps.
 
-    Every cap is a module constant (MAX_SWEEP_N, MAX_POLY_N, MAX_STATES,
-    MAX_CENSUS_Q_BITS, ...); none can be raised by the caller.  The
-    message names the input, the size asked for and the cap it exceeded.
+    Every cap is a MAX_* constant of the module that checks it; none can
+    be raised by the caller.  The message names the input, the size asked
+    for and the cap it exceeded.
     """
 
 

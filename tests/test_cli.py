@@ -20,6 +20,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from repstat import __version__, cli
 from repstat.cli import main
+from repstat.kirillov import ALGEBRAS, MAX_TORUS_REPRESENTATIVES, _is_prime
 from repstat.partitions import Partition, partition_count
 from repstat.qseries import (
     MAX_CENSUS_Q_BITS, MAX_CLASS_COUNT_N, MAX_GAUSS_ORDER, MAX_POLY_N, MAX_RATIO_BITS, QPolynomial,
@@ -176,8 +177,18 @@ GL_CAPS = [
     (("gl", "ratio", "--nmax", "1", "--q"), (1 << MAX_RATIO_BITS // 820) - 1),
 ]
 PLANCHEREL_CAPS = [(10**9, 1), (MAX_PLANCHEREL_N + 1, 1), (1000, MAX_PLANCHEREL_CELLS // 1000 + 1)]
-KIRILLOV_CAP_ALGS = ["ut4", "heis3"]
-KIRILLOV_LARGE_PRIMES = ["257", str(2**61 - 1)]
+
+
+def _first_prime_over_cap(alg):
+    """Smallest prime whose torus-representative walk exceeds MAX_TORUS_REPRESENTATIVES."""
+    p = 2
+    while sum((p - 1) ** len(free) for _, free in alg.supports) <= MAX_TORUS_REPRESENTATIVES or not _is_prime(p):
+        p += 1
+    return p
+
+
+KIRILLOV_OVER_CAP = {alg: str(_first_prime_over_cap(ALGEBRAS[alg])) for alg in ("ut4", "heis3")}
+KIRILLOV_LARGE_PRIMES = [str(2**61 - 1), str(10**30 + 57)]
 
 # Inputs each command refuses with exit 3, by command path.
 _OVER_SWEEP = str(MAX_SWEEP_N + 1)
@@ -190,7 +201,7 @@ REFUSALS = {
     ("sym", "maxdim"): [("--nmax", _OVER_SWEEP)],
     ("sym", "plancherel"): [("--n", str(n), "--count", str(c), "--seed", "1") for n, c in PLANCHEREL_CAPS],
     ("gl", "census"): [("--q", str(1 << MAX_CENSUS_Q_BITS))],
-    ("kirillov",): [("--alg", alg, "--p", "251") for alg in KIRILLOV_CAP_ALGS]
+    ("kirillov",): [("--alg", alg, "--p", p) for alg, p in KIRILLOV_OVER_CAP.items()]
     + [("--alg", "heis3", "--p", p) for p in KIRILLOV_LARGE_PRIMES],
 }
 for _argv, _cap in GL_CAPS:
@@ -222,19 +233,23 @@ class TestExitCodes:
         code, _, err = run_cli(capsys, "kirillov", "--alg", "heis3", "--p", "2")
         assert code == 2 and "p > 2" in err
 
-    @pytest.mark.parametrize("alg", KIRILLOV_CAP_ALGS)
+    @pytest.mark.parametrize("alg", KIRILLOV_OVER_CAP)
     def test_kirillov_state_cap_is_exit_3(self, capsys, alg):
+        # The walk's states are its torus representatives: ut4 is refused from p = 37, heis3 from 49,999.
+        assert KIRILLOV_OVER_CAP == {"ut4": "37", "heis3": "49999"}
         start = time.monotonic()
-        code, out, err = run_cli(capsys, "kirillov", "--alg", alg, "--p", "251")
-        assert code == 3 and out == "" and "states" in err
+        code, out, err = run_cli(capsys, "kirillov", "--alg", alg, "--p", KIRILLOV_OVER_CAP[alg])
+        assert code == 3 and out == ""
+        assert f"{alg} at p={KIRILLOV_OVER_CAP[alg]}: torus representatives=" in err
+        assert f"exceeds the cap {MAX_TORUS_REPRESENTATIVES}" in err
         assert time.monotonic() - start < 5.0
 
     @pytest.mark.parametrize("p", KIRILLOV_LARGE_PRIMES)
     def test_kirillov_large_prime_is_exit_3(self, capsys, p):
-        # Both are prime; the state cap refuses them before any trial division.
+        # Both are prime; the cap refuses them before any trial division.
         start = time.monotonic()
         code, out, err = run_cli(capsys, "kirillov", "--alg", "heis3", "--p", p)
-        assert code == 3 and out == "" and "states" in err
+        assert code == 3 and out == "" and "torus representatives" in err
         assert time.monotonic() - start < 5.0
 
     @pytest.mark.parametrize("argv, cap", GL_CAPS)

@@ -10,6 +10,7 @@ import os
 import subprocess
 import sys
 import time
+from itertools import product
 from math import comb, isqrt
 from pathlib import Path
 
@@ -20,11 +21,12 @@ from repstat import kirillov
 from repstat.kirillov import (
     ALGEBRAS,
     HEIS3,
-    MAX_STATES,
+    MAX_TORUS_REPRESENTATIVES,
     UT4,
     UnsupportedCharacteristicError,
     _build_strictly_upper,
     _nil_algebra,
+    _torus_representatives,
     check_prime,
     kirillov_report,
 )
@@ -164,15 +166,16 @@ class TestAgainstOracle:
         assert report.orbit_sizes == pairs(bfs_coadjoint_orbits(alg, p))
         assert report.class_sizes == pairs(bfs_conjugacy_classes(alg, p))
 
-    @pytest.mark.parametrize("q", [7, 11])
+    @pytest.mark.parametrize("q", [7, 11, 13, 31])
     def test_ut4_closed_forms(self, q):
         classes = {1: q, q: q**2 - 1, q**2: q * (q - 1) * (q + 2), q**3: (q - 1) ** 2 * (q + 1)}
         assert sum(classes.values()) == 2 * q**3 + q**2 - 2 * q
         report = kirillov_report(UT4, q)
         assert dict(report.class_sizes) == classes
         assert dict(report.orbit_sizes) == {1: q**3, q**2: q**3 - q, q**4: q**2 - q}
+        assert report.match_kirillov
 
-    @pytest.mark.parametrize("p", [11, 13])
+    @pytest.mark.parametrize("p", [11, 13, 127, 49_993])
     def test_heis3_closed_forms(self, p):
         # p central classes and p^2 - 1 of size p; p^2 linear characters
         # and p - 1 of degree p.
@@ -180,24 +183,44 @@ class TestAgainstOracle:
         assert dict(report.class_sizes) == {1: p, p: p**2 - 1}
         assert dict(report.orbit_sizes) == {1: p**2, p**2: p - 1}
         assert sum(m for _, m in report.class_sizes) == p**2 + p - 1
+        assert report.match_kirillov
+
+
+def _walk_length(alg, p):
+    return sum((p - 1) ** len(free) for _, free in alg.supports)
 
 
 class TestGuards:
-    def test_state_cap_bounds(self):
-        assert 11**6 <= MAX_STATES < 13**6
-        assert 113**3 <= MAX_STATES < 127**3
+    """The walk's states are its torus representatives, which the cap counts before any rank."""
 
-    @pytest.mark.parametrize("alg, p", [(UT4, 13), (UT4, 251), (HEIS3, 127), (HEIS3, 251)])
+    def test_state_cap_bounds(self):
+        # heis3 has one cycle, the full support, so its walk is p + 6 long.
+        assert _walk_length(UT4, 31) <= MAX_TORUS_REPRESENTATIVES < _walk_length(UT4, 37)
+        assert _walk_length(HEIS3, 49_993) <= MAX_TORUS_REPRESENTATIVES < _walk_length(HEIS3, 49_999)
+        assert [_walk_length(HEIS3, p) for p in (3, 127)] == [9, 133]
+
+    @pytest.mark.parametrize("alg, p", [(UT4, 37), (UT4, 251), (HEIS3, 49_999), (HEIS3, 2**61 - 1)])
     def test_state_cap_refuses(self, alg, p):
-        with pytest.raises(CapExceededError, match="states"):
+        with pytest.raises(CapExceededError, match=f"^{alg.name} at p={p}: torus representatives="):
+            kirillov_report(alg, p)
+
+    @pytest.mark.parametrize("alg, p", [(UT4, 37), (HEIS3, 49_999)])
+    def test_state_cap_refuses_before_any_rank(self, monkeypatch, alg, p):
+        def no_rank(rows, p):
+            raise AssertionError("rank taken")
+
+        monkeypatch.setattr(kirillov, "_rank_mod_p", no_rank)
+        with pytest.raises(CapExceededError, match="torus representatives"):
             kirillov_report(alg, p)
 
     def test_check_prime_refuses_huge_p_at_once(self):
-        # Trial division of 10^30 + 57 would run to about 10^15; the state
-        # cap comes first, and refuses an even (non-prime) p the same way.
+        # Trial division of 10^30 + 57 would run to about 10^15; the cap
+        # comes first, and refuses an even (non-prime) p the same way.
         for p in (10**30 + 57, 10**30 + 56):
             start = time.monotonic()
-            with pytest.raises(CapExceededError, match=rf"^states {p}\^6=\d+ exceeds the cap {MAX_STATES}$"):
+            message = f"^ut4 at p={p}: torus representatives={_walk_length(UT4, p)} "
+            message += f"exceeds the cap {MAX_TORUS_REPRESENTATIVES}$"
+            with pytest.raises(CapExceededError, match=message):
                 check_prime(UT4, p)
             assert time.monotonic() - start < 1.0
 
@@ -216,6 +239,27 @@ class TestGuards:
     def test_nonprime_rejected(self):
         with pytest.raises(ValueError, match="prime"):
             kirillov_report(HEIS3, 9)
+
+
+class TestTorusRepresentatives:
+    @pytest.mark.parametrize("alg, p", [(alg, p) for alg in (HEIS3, UT4) for p in (2, 3, 5, 7, 11)])
+    def test_cap_counts_the_walk(self, alg, p):
+        assert _walk_length(alg, p) == sum(1 for _ in _torus_representatives(alg, p))
+
+    @pytest.mark.parametrize("alg, p", [(HEIS3, 5), (HEIS3, 7), (UT4, 5)], ids=_case_id)
+    def test_one_representative_per_torus_orbit(self, alg, p):
+        # diag(t) scales coordinate (i, j) by t_i / t_j; fixing the last
+        # t at 1 loses nothing, as scalars act trivially.
+        torus = [(*t, 1) for t in product(range(1, p), repeat=alg.matrix_size - 1)]
+        seen = set()
+        for coords, weight in _torus_representatives(alg, p):
+            orbit = {
+                tuple(x * t[i] * pow(t[j], -1, p) % p for x, (i, j) in zip(coords, alg.positions)) for t in torus
+            }
+            assert len(orbit) == weight and not orbit & seen
+            seen |= orbit
+        # Disjoint orbits of total size p^dim cover every vector once.
+        assert len(seen) == p**alg.dim
 
 
 class TestRankIntegrity:

@@ -18,7 +18,10 @@ RECORDS = [
     (AngleReport, ("n", "sum_dim", "sum_dim_sq", "count", "cos_sq", "log_ratio", "predicted_log")),
     (IntervalCounts, ("n", "alpha", "beta", "count_dim_sq", "count_class")),
     (Histogram, ("bin_edges", "counts")),
-    (NilAlgebra, ("name", "matrix_size", "dim", "positions", "brackets", "nilpotency_class", "derived_dim")),
+    (
+        NilAlgebra,
+        ("name", "matrix_size", "dim", "positions", "brackets", "nilpotency_class", "derived_dim", "supports"),
+    ),
     (
         OrbitReport,
         ("algebra", "p", "group_order", "orbit_sizes", "class_sizes", "rep_dims", "match_kirillov", "match_naive"),
