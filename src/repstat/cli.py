@@ -5,21 +5,26 @@ stdout or ``--out`` included), 3 size-cap refusal, 4 internal invariant
 violation.  Identical invocations produce byte-identical output;
 figure-style data is emitted as tables, plotting is left to other tools.
 
-Every command is one entry of ``_COMMANDS``: its path, help, flags, columns
-and a row builder.  ``build_parser`` turns the table into argparse
-subcommands and ``_emit`` renders any entry's rows as CSV or JSON text, one
-string per row, joined once.  Rows hold library values; each format renders
-every cell through one table keyed by the cell's exact type (``_CSV``,
-``_JSON``) that returns the finished field.  The tables list every cell
-type a row builder emits: a cell of any other type is a builder defect,
-and it raises KeyError rather than reach the output as its str.  CSV
-fields are quoted as ``csv.writer``'s QUOTE_MINIMAL quotes them, which
-only str, partition and sequence text can need.  JSON is written in the
-layout of ``json.dumps(payload, indent=2)``: str cells are escaped by
-json's C ``encode_basestring_ascii``, and only the ``meta`` block passes
-through ``json.dumps``.  Every JSON table is ``meta`` plus ``rows``.  The
-tests keep ``csv.writer`` and the whole-payload ``json.dumps`` as the
-oracle for these bytes.
+Every command is one entry of ``_COMMANDS``: its path, help, flags,
+columns and a row builder.  ``build_parser`` turns the table into argparse
+subcommands.  ``main`` builds a command's rows in full before it writes
+anything, so a refusal (exit 2, 3 or 4) writes nothing and opens no
+``--out`` file.  Then ``_emit`` renders the rows as CSV or JSON text one
+row at a time, and ``main`` writes the text as it comes,
+``ROWS_PER_WRITE`` rows to a write, so the writer holds one block of rows
+whatever the table's size.  A failed write, or a cell type missing from
+the tables, may leave a prefix of the table written.  Rows hold library
+values; each format renders every cell through one table keyed by the
+cell's exact type (``_CSV``, ``_JSON``) that returns the finished field.
+The tables list every cell type a row builder emits: a cell of any other
+type is a builder defect, and it raises KeyError rather than reach the
+output as its str.  CSV fields are quoted as ``csv.writer``'s
+QUOTE_MINIMAL quotes them, which only str, partition and sequence text can
+need.  JSON is written in the layout of ``json.dumps(payload, indent=2)``:
+str cells are escaped by json's C ``encode_basestring_ascii``, and only
+the ``meta`` block passes through ``json.dumps``.  Every JSON table is
+``meta`` plus ``rows``.  The tests keep ``csv.writer`` and the
+whole-payload ``json.dumps`` as the oracle for these bytes.
 """
 
 from __future__ import annotations
@@ -32,7 +37,7 @@ import os
 import re
 import sys
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, islice
 from json.encoder import encode_basestring_ascii
 from typing import Callable, NamedTuple
 
@@ -50,6 +55,12 @@ from .symstats import (
 )
 
 GAMMA_REFERENCE_TERMS = 40
+
+# Rows joined into one write.  A write-through stdout (PYTHONUNBUFFERED=1)
+# makes a system call per write: one write per row took a fifth longer to
+# write the 26,016 lines of ``sym sweep --n 38`` than one write in all, and
+# a block of rows keeps the writer's memory bounded all the same.
+ROWS_PER_WRITE = 64
 
 # Cell text by exact type: big integers as decimal strings, reals to 12
 # significant digits, sequences space-joined.
@@ -119,11 +130,12 @@ _JSON = {
 class _Command(NamedTuple):
     """One table: where it sits in the CLI, its flags, columns and rows.
 
-    ``rows(args)`` returns an iterable of tuples in column order whose
-    cells are library values (ints, floats, partitions, polynomials, ...),
-    formatted only through the cell tables.  Builders look library
-    functions up by their global names at call time, so a profiler that
-    rebinds those names sees every call.
+    ``rows(args)`` returns a list or tuple of tuples in column order, built
+    in full before any text is written, whose cells are library values
+    (ints, floats, partitions, polynomials, ...), formatted only through
+    the cell tables.  Builders look library functions up by their global
+    names at call time, so a profiler that rebinds those names sees every
+    call.
     """
 
     path: tuple[str, ...]
@@ -133,23 +145,24 @@ class _Command(NamedTuple):
     rows: Callable
 
 
-def _emit(args) -> str:
-    """The command's table as CSV or as JSON, in the layout of csv.writer or json.dumps(indent=2).
+def _emit(args, rows):
+    """The table of rows as CSV or as JSON, in the layout of csv.writer or json.dumps(indent=2).
 
-    Each row becomes one string, and the strings are joined once.
+    Yields each row's finished text in order, after the header or the JSON
+    head and before the JSON tail, so the text joined is the whole table.
+    rows is the list or tuple the command's builder returned.
     """
     cmd = args.cmd
-    rows = cmd.rows(args)
     if args.format == "csv":
-        fields = ([_CSV[type(v)](v) for v in row] for row in chain((cmd.columns,), rows))
-        # csv.writer writes a row of one empty field as "", so that it reads back as a row.
-        lines = [",".join(f) or '""' * len(f) for f in fields]
-        lines.append("")
-        return "\n".join(lines)
+        for row in chain((cmd.columns,), rows):
+            fields = [_CSV[type(v)](v) for v in row]
+            # csv.writer writes a row of one empty field as "", so that it reads back as a row.
+            yield (",".join(fields) or '""' * len(fields)) + "\n"
+        return
     meta = {"invocation": " ".join(args.invocation), "version": __version__, "seed": getattr(args, "seed", None)}
-    lines = ['{\n  "meta": ' + _json_nested(meta) + ',\n  "rows": [', *_json_rows(cmd.columns, rows)]
-    lines.append("\n  ]\n}\n" if len(lines) > 1 else "]\n}\n")
-    return "".join(lines)
+    yield '{\n  "meta": ' + _json_nested(meta) + ',\n  "rows": ['
+    yield from _json_rows(cmd.columns, rows)
+    yield "\n  ]\n}\n" if rows else "]\n}\n"
 
 
 def _json_nested(value) -> str:
@@ -341,7 +354,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         args.invocation = argv
-        text = _emit(args)
+        rows = args.cmd.rows(args)
     except _UsageError as exc:
         print(f"repstat: usage error: {exc}", file=sys.stderr)
         return 2
@@ -357,13 +370,20 @@ def main(argv=None) -> int:
     to_file = args.out is not None
     try:
         with open(args.out, "w", encoding="utf-8", newline="") if to_file else contextlib.nullcontext(sys.stdout) as fh:
-            fh.write(text)
+            chunks = _emit(args, rows)
+            # Every chunk is non-empty, so an empty block means the table is written.
+            while block := "".join(islice(chunks, ROWS_PER_WRITE)):
+                fh.write(block)
             fh.flush()
     except OSError as exc:
         if not to_file:
             # A closed pipe or full device: point fd 1 at devnull, so the
             # interpreter's flush at exit does not fail a second time.
-            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            try:
+                os.dup2(devnull, sys.stdout.fileno())
+            finally:
+                os.close(devnull)
         print(f"repstat: cannot write output: {exc}", file=sys.stderr)
         return 2
     return 0
