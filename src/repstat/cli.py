@@ -392,14 +392,21 @@ def main(argv=None) -> int:
 def run() -> None:
     """Console-script entry: run main, then exit with its code.
 
-    The interpreter's shutdown runs full collections over every tracked
-    object still alive, and a swept level keeps hundreds of thousands of
-    tuple-subclass records tracked in sweep's cache.  Freezing moves them
-    to the permanent generation, which those collections skip, once the
-    output is written; refcounting still frees them, and stdout is still
-    flushed at exit.  main itself never freezes: in-process callers would
-    keep every object then alive out of reach of the cycle collector.
+    The collector is off for the whole run.  main builds its rows from
+    acyclic tuples and lists, so the only cycles it leaves are the few
+    hundred objects of its argument parser (and of json's encoder for a
+    JSON meta block), the same for every table and left to the exit.
+    With the collector on, the growing level of a sweep (a tracked record
+    and partition per row) paid hundreds of collections that found
+    nothing to free.  Interpreter shutdown runs full collections over
+    every tracked object still alive, collector off or not, so the heap
+    is frozen once the output is written: those collections skip the
+    permanent generation, refcounting still frees its objects, and
+    stdout is still flushed at exit.  main itself touches neither, so
+    in-process callers keep their collector as they set it and every
+    object they hold in its reach.
     """
+    gc.disable()
     code = main()
     # Spare the exit a garbage walk over the tables main built.
     gc.freeze()

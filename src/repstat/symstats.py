@@ -15,12 +15,16 @@ depth-first walk.  By the hook-length formula (Frame, Robinson and Thrall
 1954) a new top row adds hooks only in its own boxes, so the rows below
 keep theirs: each step multiplies the carried hook product by the new
 row's hooks (_top_row), and the carried centralizer order by v times the
-run length of v.  Each leaf is one record, and the records are sorted
-once into reverse-lexicographic order.  dimension walks a single
-partition with the same row step; class_size takes n! over the
-centralizer order straight from the multiplicities of the parts.
-sweep(n) returns that level and caches only the last one; every S_n
-table (layer_sums, interval_counts, max_dimension, ...) reads it.
+run length of v.  Each node of the walk is finished as soon as it is
+made: the top row that takes all the boxes left completes it to one
+partition of n, one record.  Only a node with room for one more row
+below that top row goes on the stack, 8,038 of the 26,015 at n = 38.
+The records are sorted once into reverse-lexicographic order.
+dimension walks a single partition with the same row step; class_size
+takes n! over the centralizer order straight from the multiplicities of
+the parts.  sweep(n) returns that level and caches only the last one;
+every S_n table (layer_sums, interval_counts, max_dimension, ...) reads
+it.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial, perm
-from operator import attrgetter
+from operator import attrgetter, mul
 from typing import NamedTuple
 
 from .partitions import Partition, _trusted_partition, partition_count
@@ -89,14 +93,15 @@ def _top_row(v: int, top: int, depth: int, segments) -> int:
 
     top is the length of the current top row (0 over no rows).  Columns
     past top are empty below, so their hooks are v - top, ..., 1.  A
-    segment (lo, hi, k) is the column block (lo, hi] opened by the row at
-    depth k; its columns hold depth - k + 1 boxes, so along the new row
-    their hooks are hi - lo consecutive integers, one falling factorial.
+    segment (lo + k, hi - lo) stands for the column block (lo, hi] opened
+    by the row at depth k; its columns hold depth - k + 1 boxes, so along
+    the new row their hooks are the hi - lo consecutive integers below
+    v + depth + 1 - lo - k, one falling factorial.
     """
     prod = factorial(v - top)
     x = v + depth + 1
-    for lo, hi, k in segments:
-        prod *= perm(x - lo - k, hi - lo)
+    for start, width in segments:
+        prod *= perm(x - start, width)
     return prod
 
 
@@ -112,7 +117,7 @@ def _hook_product(parts: tuple[int, ...]) -> int:
         hooks *= _top_row(v, top, depth, segments)
         depth += 1
         if v != top:
-            segments += ((top, v, depth),)
+            segments += ((top + depth, v - top),)
             top = v
     return hooks
 
@@ -179,31 +184,44 @@ def sweep(n: int) -> tuple[DimRecord, ...]:
     _check_cap(n, MAX_SWEEP_N, "n")
     fact = factorial(n)
     records = []
-    # A node is a stack of rows, bottom-up: (parts, top, depth, rest,
-    # hook product, centralizer order, run length of top, segments).
-    nodes = [((), 0, 0, n, 1, 1, 0, ())]
+
+    def finish(node):
+        # Lay the top row w = rest, which completes node to a partition of n.
+        parts, top, depth, w, hooks, central, run, segments = node
+        d, rem = divmod(fact, hooks * _top_row(w, top, depth, segments))
+        if rem:
+            raise IntegrityError(f"hook product does not divide n! for {[w, *parts]}")
+        c = fact // (central * w * (run + 1 if w == top else 1))
+        records.append(DimRecord(_trusted_partition((w, *parts)), d, c, 2.0 * ln_big(d), ln_big(c)))
+
+    # A node is a stack of rows, bottom-up, and the boxes left above it:
+    # (parts, top, depth, rest, hook product, centralizer order, run length
+    # of top, segments).  Each node is finished as soon as it is made, so
+    # its record never waits on the stack; a child goes there only if it
+    # can take another row below its top row.
+    root = ((), 0, 0, n, 1, 1, 0, ())
+    finish(root)
+    nodes = [root]
     while nodes:
         parts, top, depth, rest, hooks, central, run, segments = nodes.pop()
-        # Every next row v that leaves room for a row of at least v above
-        # it, and v = rest, the top row that completes a partition of n.
-        for v in (*range(max(top, 1), rest // 2 + 1), rest):
-            h = hooks * _top_row(v, top, depth, segments)
+        # Every next row v that leaves room for a top row of at least v.
+        for v in range(top or 1, rest // 2 + 1):
             r = run + 1 if v == top else 1
-            z = central * v * r
-            if v < rest:
-                above = segments if v == top else (*segments, (top, v, depth + 1))
-                nodes.append(((v, *parts), v, depth + 1, rest - v, h, z, r, above))
-                continue
-            d, rem = divmod(fact, h)
-            if rem:
-                raise IntegrityError(f"hook product does not divide n! for {[v, *parts]}")
-            c = fact // z
-            records.append(DimRecord(_trusted_partition((v, *parts)), d, c, 2.0 * ln_big(d), ln_big(c)))
+            child = (
+                (v, *parts), v, depth + 1, rest - v,
+                hooks * _top_row(v, top, depth, segments), central * v * r, r,
+                segments if v == top else (*segments, (top + depth + 1, v - top)),
+            )
+            finish(child)
+            # Its top row, rest - v, could split into a row of v and a top row of at least v.
+            if rest - v >= 2 * v:
+                nodes.append(child)
     # The partitions are distinct tuples, so this is the enumeration's reverse-lex order.
     records.sort(key=attrgetter("lam"), reverse=True)
-    sum_dim = sum(rec.dim for rec in records)
-    sum_dim_sq = sum(rec.dim * rec.dim for rec in records)
-    sum_class = sum(rec.class_size for rec in records)
+    dims = list(map(attrgetter("dim"), records))
+    sum_dim = sum(dims)
+    sum_dim_sq = sum(map(mul, dims, dims))
+    sum_class = sum(map(attrgetter("class_size"), records))
     if sum_dim != involution_count(n) or sum_dim_sq != fact or sum_class != fact:
         raise IntegrityError(f"moment identities failed at n={n}")
     return tuple(records)

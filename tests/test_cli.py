@@ -558,12 +558,25 @@ def _rows(argv):
 
 
 class TestConsoleScript:
-    """run(), the ``repstat`` entry, freezes the heap after main; main never does."""
+    """run(), the ``repstat`` entry, runs main with the collector off and freezes the heap after it.
+
+    main touches neither the collector's switch nor its freeze.
+    """
 
     def test_main_does_not_freeze(self, capsys):
         before = gc.get_freeze_count()
         assert run_cli(capsys, "sym", "sweep", "--n", "20")[0] == 0
         assert gc.get_freeze_count() == before
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_main_leaves_the_collector_as_found(self, capsys, enabled):
+        (gc.enable if enabled else gc.disable)()
+        try:
+            codes = [run_cli(capsys, "sym", "sweep", *argv)[0] for argv in (("--n", "20"), ("--n", "51"))]
+            after = gc.isenabled()
+        finally:
+            gc.enable()
+        assert codes == [0, 3] and after is enabled
 
     @pytest.mark.parametrize("argv, code", [(("--n", "20"), 0), (("--n", "51"), 3)])
     def test_run_freezes_and_exits_with_main_code(self, monkeypatch, argv, code):
@@ -572,9 +585,23 @@ class TestConsoleScript:
             with pytest.raises(SystemExit) as exc:
                 cli.run()
             frozen = gc.get_freeze_count()
+            enabled = gc.isenabled()
         finally:
+            # Later tests must not run with the collector off or the heap frozen.
+            gc.enable()
             gc.unfreeze()
-        assert exc.value.code == code and frozen > 0
+        assert exc.value.code == code and frozen > 0 and not enabled
+
+    def test_run_disables_the_collector_before_main(self, monkeypatch):
+        seen = []
+        monkeypatch.setattr(cli, "main", lambda: seen.append(gc.isenabled()) or 0)
+        try:
+            with pytest.raises(SystemExit) as exc:
+                cli.run()
+        finally:
+            gc.enable()
+            gc.unfreeze()
+        assert exc.value.code == 0 and seen == [False]
 
     @pytest.mark.parametrize(
         "argv, code",

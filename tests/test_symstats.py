@@ -170,6 +170,14 @@ class TestSweep:
             assert rec.log_dim_sq == pytest.approx(2 * math.log(rec.dim), rel=1e-9, abs=1e-12)
             assert rec.log_class == pytest.approx(math.log(rec.class_size), rel=1e-9, abs=1e-12)
 
+    def test_log_fields_are_ln_big_bit_for_bit(self):
+        # math.log differs from ln_big in the last bit for many of these
+        # values, so an inlined log would move CSV bytes; pin the exact float.
+        for n in range(1, 31):
+            for rec in sweep(n):
+                assert rec.log_dim_sq == 2.0 * ln_big(rec.dim), rec.lam
+                assert rec.log_class == ln_big(rec.class_size), rec.lam
+
     def test_cap(self):
         with pytest.raises(CapExceededError) as err:
             sweep(51)
