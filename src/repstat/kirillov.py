@@ -19,30 +19,31 @@ algebra group, and for those (Isaacs, "Characters of groups associated
 with finite algebras", J. Algebra 177, 1995) the coadjoint orbit of f has
 p^rank(B_f) elements, where B_f(x, y) = f([x, y]), and the class of 1 + X
 has p^rank(ad_X) elements.  So the number of orbits of size p^r is the
-number of vectors of rank r divided by p^r.  The diagonal torus keeps both
-ranks and scales coordinate (i, j) by t_i / t_j, so the ranks are taken
-once per torus orbit: each algebra fixes a spanning forest of every
-support when it is built, and a representative has 1 on its forest.  One
-walk over the representatives, sum over supports of (p - 1)^|free| of
-them and capped by that count, takes both ranks of each, tallied with its
-weight, and the report keeps the two histograms {rank: number of orbits}
-as (value, multiplicity) pairs: orbit sizes p^r, degrees p^(r/2) and
-class sizes p^s.  The closures these formulas replace (dense matrix
+number of vectors of rank r divided by p^r.  B_f reads f only on the
+derived coordinates [n, n], and ad_X reads X only off the centre z(n), so
+each rank is walked over its own coordinates, weighted by p^(the rest).
+The diagonal torus keeps both ranks and scales coordinate (i, j) by
+t_i / t_j, so a walk takes one representative per torus orbit, with 1 on
+the spanning forest of its support.  The report keeps {rank: number of
+orbits} as (value, multiplicity) pairs: orbit sizes p^r, degrees p^(r/2)
+and class sizes p^s.  The closures these formulas replace (dense matrix
 searches, a sparse BFS over all p^dim states) are tests/kirillov_oracles.py.
 """
 
 from __future__ import annotations
 
-from itertools import product
+from itertools import compress, product
 from typing import NamedTuple
 
 from .symstats import IntegrityError, _check_cap
 
-# Most torus representatives the rank walk may take two ranks of: ut4 up
-# to p = 31 (33,008, about 1.5 s on a shared 2-CPU Xeon with Python 3.11),
-# heis3 up to p = 49,993 (about 1 s).  The report holds one (value,
-# multiplicity) pair per rank, at most dim + 1 per kind, whatever p is.
+# Most torus representatives the two rank walks may take together: ut4 up
+# to p = 211 (45,602, about 1.1 s on a shared 2-CPU Xeon with Python 3.11)
+# and ut5 up to p = 7 (32,506, 1.6 s).  heis3 walks 6 at every p, so p's
+# bit size bounds it, and trial division, which takes about 11 ms at 32 bits.
+# The report holds one (value, multiplicity) pair per rank, at most dim + 1 per kind.
 MAX_TORUS_REPRESENTATIVES = 50_000
+MAX_PRIME_BITS = 32
 
 
 class UnsupportedCharacteristicError(ValueError):
@@ -57,9 +58,7 @@ class NilAlgebra(NamedTuple):
     simply its strictly-upper entries.  brackets is the table of structure
     constants: a sorted tuple of triples (a, b, k) with a < b, each meaning
     [e_a, e_b] = e_k.  Every basis bracket of a pair a < b that is not
-    listed is zero.  The constants are integers, reduced mod p only at use
-    time.  supports holds, per support mask in mask order, the coordinates
-    of its spanning forest (a graph on the matrix indices) and the rest.
+    listed is zero.  The constants are integers, reduced mod p only at use time.
     """
 
     name: str
@@ -69,7 +68,6 @@ class NilAlgebra(NamedTuple):
     brackets: tuple[tuple[int, int, int], ...]
     nilpotency_class: int
     derived_dim: int
-    supports: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
 
 
 def _nil_algebra(name: str, m: int, positions, brackets) -> NilAlgebra:
@@ -103,19 +101,6 @@ def _nil_algebra(name: str, m: int, positions, brackets) -> NilAlgebra:
             raise IntegrityError(f"{name} is not nilpotent")
         layer = nxt
 
-    # Spanning forest of each support, taking its edges in position order.
-    supports = []
-    for mask in range(1 << dim):
-        component, forest, free = list(range(m)), [], []
-        for k, (i, j) in enumerate(positions):
-            if mask >> k & 1:
-                ci, cj = component[i], component[j]
-                if ci == cj:
-                    free.append(k)
-                else:
-                    forest.append(k)
-                    component = [cj if c == ci else c for c in component]
-        supports.append((tuple(forest), tuple(free)))
     return NilAlgebra(
         name=name,
         matrix_size=m,
@@ -124,7 +109,6 @@ def _nil_algebra(name: str, m: int, positions, brackets) -> NilAlgebra:
         brackets=brackets,
         nilpotency_class=len(series) - 1,
         derived_dim=len(series[1]),
-        supports=tuple(supports),
     )
 
 
@@ -154,7 +138,7 @@ def _is_prime(p: int) -> bool:
 
 
 def check_prime(alg: NilAlgebra, p: int) -> None:
-    """Admissibility: the rank walk within MAX_TORUS_REPRESENTATIVES, and prime p > nilpotency class.
+    """Admissibility: p's bit size and the rank walks within their caps, and prime p > nilpotency class.
 
     This is the orbit method's requirement: Kirillov's correspondence for a
     p-group rests on the truncated exp/log series, which divide by k! for
@@ -162,11 +146,12 @@ def check_prime(alg: NilAlgebra, p: int) -> None:
     boundary cases p = 2 (heis3) and p in {2, 3} (ut4) are exactly where
     exp/log break down.  The rank formulas themselves hold for every p.
 
-    The walk's sum over supports of (p - 1)^|free| representatives is
-    refused first, so a huge p never reaches the trial-division test.
+    The bit size of p and then the walks' length are refused first, so a
+    huge p never reaches the trial-division test.
     """
     if p > 1:
-        walk = sum((p - 1) ** len(free) for _, free in alg.supports)
+        _check_cap(p.bit_length(), MAX_PRIME_BITS, f"{alg.name} at p={p}: bits of p")
+        walk = sum((p - 1) ** len(free) for _, coords in _sides(alg) for _, free in _forests(alg, coords))
         _check_cap(walk, MAX_TORUS_REPRESENTATIVES, f"{alg.name} at p={p}: torus representatives")
     if not _is_prime(p):
         raise ValueError(f"p must be a prime, got {p}")
@@ -177,22 +162,47 @@ def check_prime(alg: NilAlgebra, p: int) -> None:
         )
 
 
-def _torus_representatives(alg: NilAlgebra, p: int):
-    """One vector per diagonal-torus orbit on F_p^dim, with the orbit's size.
+def _sides(alg: NilAlgebra):
+    """The (row, column, coordinate, sign) entries of B_f and of ad_X, each with the coordinates it reads.
+
+    B_f(x, y) = f([x, y]): each triple (a, b, k) of the bracket table sets
+    B_f[a][b] = f_k and B_f[b][a] = -f_k, so B_f reads f on the derived
+    coordinates, the k's.  The centralizer of I + X is I plus the kernel of
+    ad_X = [X, -], whose column b is sum_a X_a [e_a, e_b]: each triple adds
+    X_a to ad_X[k][b] and -X_b to ad_X[k][a], so ad_X reads X modulo the
+    centre, on the a's and b's.
+    """
+    form = [e for a, b, k in alg.brackets for e in ((a, b, k, 1), (b, a, k, -1))]
+    ad = [e for a, b, k in alg.brackets for e in ((k, b, a, 1), (k, a, b, -1))]
+    return [(entries, sorted({e[2] for e in entries})) for entries in (form, ad)]
+
+
+def _forests(alg: NilAlgebra, coords):
+    """Per support, a subset of coords: the edges of a spanning forest of its graph on matrix indices, and the rest."""
+    for support in product((0, 1), repeat=len(coords)):
+        component, forest, free = list(range(alg.matrix_size)), [], []
+        for k in compress(coords, support):
+            i, j = alg.positions[k]
+            ci, cj = component[i], component[j]
+            (free if ci == cj else forest).append(k)
+            component = [cj if c == ci else c for c in component]
+        yield forest, free
+
+
+def _torus_representatives(alg: NilAlgebra, coords, p: int):
+    """One vector per diagonal-torus orbit on the vectors of F_p^dim supported on coords, with the orbit's size.
 
     diag(t) scales coordinate (i, j) by t_i / t_j.  Each torus orbit on a
-    support has one vector with 1 on the support's forest (alg.supports),
-    and (p - 1)^(forest edges) vectors; free entries run over F_p^*.
+    support has one vector with 1 on the support's forest, built as the walk
+    reaches it, and (p - 1)^(forest edges) vectors; free entries run over F_p^*.
     """
-    for forest, free in alg.supports:
-        coords = [0] * alg.dim
-        for k in forest:
-            coords[k] = 1
+    for forest, free in _forests(alg, coords):
+        vector = [int(k in forest) for k in range(alg.dim)]
         weight = (p - 1) ** len(forest)
         for values in product(range(1, p), repeat=len(free)):
             for k, v in zip(free, values):
-                coords[k] = v
-            yield tuple(coords), weight
+                vector[k] = v
+            yield tuple(vector), weight
 
 
 def _rank_mod_p(rows: list[list[int]], p: int) -> int:
@@ -214,26 +224,21 @@ def _rank_mod_p(rows: list[list[int]], p: int) -> int:
 
 
 def _rank_counts(alg: NilAlgebra, p: int) -> tuple[dict[int, int], dict[int, int]]:
-    """Vectors of each rank of B_f and of ad_X, tallied over one walk.
+    """Vectors of F_p^dim of each rank of B_f and of ad_X, from one walk per side.
 
-    B_f(x, y) = f([x, y]): each triple (a, b, k) of the bracket table sets
-    B_f[a][b] = f_k and B_f[b][a] = -f_k.  The centralizer of I + X is I
-    plus the kernel of ad_X = [X, -], whose column b is sum_a X_a [e_a, e_b]:
-    each triple adds X_a to ad_X[k][b] and -X_b to ad_X[k][a].  Both ranks
-    are constant on torus orbits, so each representative gives both, and
-    each is tallied with the representative's weight.
+    A rank is constant on torus orbits and on the coordinates its side does
+    not read, so it is tallied with the representative's weight times p^(unread).
     """
     dim = alg.dim
-    form = [e for a, b, k in alg.brackets for e in ((a, b, k, 1), (b, a, k, -1))]
-    ad = [e for a, b, k in alg.brackets for e in ((k, b, a, 1), (k, a, b, -1))]
     tallies: tuple[dict[int, int], dict[int, int]] = ({}, {})
-    for coords, weight in _torus_representatives(alg, p):
-        for entries, counts in zip((form, ad), tallies):
+    for (entries, coords), counts in zip(_sides(alg), tallies):
+        unread = p ** (dim - len(coords))
+        for vector, weight in _torus_representatives(alg, coords, p):
             rows = [[0] * dim for _ in range(dim)]
             for r, s, k, c in entries:
-                rows[r][s] += c * coords[k]
+                rows[r][s] += c * vector[k]
             rank = _rank_mod_p(rows, p)
-            counts[rank] = counts.get(rank, 0) + weight
+            counts[rank] = counts.get(rank, 0) + weight * unread
     return tallies
 
 

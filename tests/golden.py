@@ -51,6 +51,8 @@ GOLDEN = [
     ("sym hist --n 26 --what class --bins 20", "d89a37ab692a31c6a06a67e59ee395ae6f647d6d02c7ad4cf85fb138595ff3b1", "868d34ac46d45200db97d3736b9c8b9be5c4c667df1df486d5b6ccff2ce9ea06"),
     # A size the orbit benchmark does not run, hashed from the BFS engine's output.
     ("kirillov --alg ut4 --p 7", "a22719b7eee4d1b6a1f43464ccafcd8a0a40f6e54c5cdaaa40a3a9631d2f6d35", "0a490242fa789b1c1dcc7371887a34eb1b4db6cd708ff6cdfe4184b00fcc0232"),
+    # The largest ut4 prime of the whole-space walk's cap, hashed from that walk's output.
+    ("kirillov --alg ut4 --p 31", "b9d038246ecb6e8758485a6aa27a9dbda32ca8054ca9f56e246c43cd0114525c", "2ae25eaec1078cfd2df2feea4bd85b62cc0fa4f20d12462f83fec70dc15c6f20"),
     # 20 x 999 stream outputs, hashed from the one-draw-per-step shuffle.
     ("sym plancherel --n 1000 --count 20 --seed 11", "95915ce21c4ab7e3f5948beca238d2ca1889073599067209ec1c74e590aead96", "5418bac6fe27bb0f7eb8d65acb5a6790113021b8f6df4c13a6687ac10c8f72cf"),
     # Benchmark sizes of the Fraction cells and of the polynomial and

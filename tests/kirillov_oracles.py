@@ -5,15 +5,18 @@ representatives.  These oracles close the orbits instead, over all p^dim
 states: two dense searches (conjugation of unitriangular matrices, and
 dense rows of Ad(g^-1) on functionals), and the sparse linear-action
 engine the library used before the rank formulas.  The truncated exp/log
-pair lives here too; nothing in the library needs it.
+pair lives here too, since nothing in the library needs it, and so does
+the rank walk over all of F_p^dim that the library's walks over the
+derived and the non-central coordinates replaced.
 """
 
 from collections import Counter
 from functools import lru_cache
+from itertools import product
 from math import factorial
 from operator import mul
 
-from repstat.kirillov import NilAlgebra
+from repstat.kirillov import NilAlgebra, _rank_mod_p
 
 
 def pairs(flat) -> tuple[tuple[int, int], ...]:
@@ -236,3 +239,40 @@ def bfs_conjugacy_classes(alg: NilAlgebra, p: int):
     """Class sizes from the sparse engine: g(I + X)g^-1 = I + gXg^-1, column k is g B_k g^-1."""
     maps = [tuple(zip(*images)) for images in _conjugation_images(alg, p, inverse=False)]
     return _linear_orbits(maps, p, alg.dim)
+
+
+def whole_space_rank_counts(alg: NilAlgebra, p: int) -> tuple[dict[int, int], dict[int, int]]:
+    """{rank: vectors} of B_f and of ad_X over all of F_p^dim, from one walk of its torus representatives.
+
+    Every one of the 2^dim supports gets a spanning forest of its graph on
+    the matrix indices, edges taken in position order.  A representative
+    has 1 on the forest and any value of F_p^* on the other entries of its
+    support; its torus orbit holds (p - 1)^(forest edges) vectors.  Both
+    ranks are taken of each representative and tallied with that weight.
+    """
+    dim = alg.dim
+    form = [e for a, b, k in alg.brackets for e in ((a, b, k, 1), (b, a, k, -1))]
+    ad = [e for a, b, k in alg.brackets for e in ((k, b, a, 1), (k, a, b, -1))]
+    tallies: tuple[dict[int, int], dict[int, int]] = ({}, {})
+    for mask in range(1 << dim):
+        component, forest, free = list(range(alg.matrix_size)), [], []
+        for k, (i, j) in enumerate(alg.positions):
+            if mask >> k & 1:
+                ci, cj = component[i], component[j]
+                if ci == cj:
+                    free.append(k)
+                else:
+                    forest.append(k)
+                    component = [cj if c == ci else c for c in component]
+        coords = [int(k in forest) for k in range(dim)]
+        weight = (p - 1) ** len(forest)
+        for values in product(range(1, p), repeat=len(free)):
+            for k, v in zip(free, values):
+                coords[k] = v
+            for entries, counts in zip((form, ad), tallies):
+                rows = [[0] * dim for _ in range(dim)]
+                for r, s, k, c in entries:
+                    rows[r][s] += c * coords[k]
+                rank = _rank_mod_p(rows, p)
+                counts[rank] = counts.get(rank, 0) + weight
+    return tallies

@@ -21,7 +21,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from repstat import __version__, cli
 from repstat.cli import main
-from repstat.kirillov import ALGEBRAS, MAX_TORUS_REPRESENTATIVES, _is_prime
+from repstat.kirillov import ALGEBRAS, MAX_PRIME_BITS, MAX_TORUS_REPRESENTATIVES, _forests, _is_prime, _sides
 from repstat.partitions import Partition, partition_count
 from repstat.qseries import (
     MAX_CENSUS_Q_BITS, MAX_CLASS_COUNT_N, MAX_GAUSS_ORDER, MAX_POLY_N, MAX_RATIO_BITS, QPolynomial,
@@ -226,15 +226,25 @@ GL_CAPS = [
 PLANCHEREL_CAPS = [(10**9, 1), (MAX_PLANCHEREL_N + 1, 1), (1000, MAX_PLANCHEREL_CELLS // 1000 + 1)]
 
 
-def _first_prime_over_cap(alg):
-    """Smallest prime whose torus-representative walk exceeds MAX_TORUS_REPRESENTATIVES."""
-    p = 2
-    while sum((p - 1) ** len(free) for _, free in alg.supports) <= MAX_TORUS_REPRESENTATIVES or not _is_prime(p):
-        p += 1
-    return p
+def _walk_length(alg, p):
+    """Torus representatives of both rank walks, as check_prime counts them."""
+    return sum((p - 1) ** len(free) for _, coords in _sides(alg) for _, free in _forests(alg, coords))
 
 
-KIRILLOV_OVER_CAP = {alg: str(_first_prime_over_cap(ALGEBRAS[alg])) for alg in ("ut4", "heis3")}
+def _first_refused_prime(start, refused, bound=1_000):
+    """Smallest prime p >= start with refused(p); fails past start + bound instead of searching on."""
+    for p in range(start, start + bound):
+        if refused(p) and _is_prime(p):
+            return p
+    raise AssertionError(f"no refused prime in [{start}, {start + bound})")
+
+
+# ut4 is refused by its walks' length; heis3 walks 6 representatives at
+# every p, so only the bit size of p refuses it.
+KIRILLOV_OVER_CAP = {
+    "ut4": str(_first_refused_prime(2, lambda p: _walk_length(ALGEBRAS["ut4"], p) > MAX_TORUS_REPRESENTATIVES)),
+    "heis3": str(_first_refused_prime(1 << MAX_PRIME_BITS, lambda p: p.bit_length() > MAX_PRIME_BITS)),
+}
 KIRILLOV_LARGE_PRIMES = [str(2**61 - 1), str(10**30 + 57)]
 
 # Inputs each command refuses with exit 3, by command path.
@@ -288,21 +298,25 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("alg", KIRILLOV_OVER_CAP)
     def test_kirillov_state_cap_is_exit_3(self, capsys, alg):
-        # The walk's states are its torus representatives: ut4 is refused from p = 37, heis3 from 49,999.
-        assert KIRILLOV_OVER_CAP == {"ut4": "37", "heis3": "49999"}
+        # ut4 is refused from p = 223 (211 walks 45,602 representatives),
+        # heis3 from 2^32 + 15, the first prime of 33 bits.
+        assert KIRILLOV_OVER_CAP == {"ut4": "223", "heis3": str(2**32 + 15)}
+        refusal = {
+            "ut4": f"torus representatives=50870 exceeds the cap {MAX_TORUS_REPRESENTATIVES}",
+            "heis3": f"bits of p=33 exceeds the cap {MAX_PRIME_BITS}",
+        }
         start = time.monotonic()
         code, out, err = run_cli(capsys, "kirillov", "--alg", alg, "--p", KIRILLOV_OVER_CAP[alg])
         assert code == 3 and out == ""
-        assert f"{alg} at p={KIRILLOV_OVER_CAP[alg]}: torus representatives=" in err
-        assert f"exceeds the cap {MAX_TORUS_REPRESENTATIVES}" in err
+        assert f"{alg} at p={KIRILLOV_OVER_CAP[alg]}: {refusal[alg]}" in err
         assert time.monotonic() - start < 5.0
 
     @pytest.mark.parametrize("p", KIRILLOV_LARGE_PRIMES)
     def test_kirillov_large_prime_is_exit_3(self, capsys, p):
-        # Both are prime; the cap refuses them before any trial division.
+        # Both are prime; the bit cap refuses them before any trial division.
         start = time.monotonic()
         code, out, err = run_cli(capsys, "kirillov", "--alg", "heis3", "--p", p)
-        assert code == 3 and out == "" and "torus representatives" in err
+        assert code == 3 and out == "" and f"bits of p={int(p).bit_length()} exceeds the cap {MAX_PRIME_BITS}" in err
         assert time.monotonic() - start < 5.0
 
     @pytest.mark.parametrize("argv, cap", GL_CAPS)

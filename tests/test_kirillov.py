@@ -1,9 +1,12 @@
 """Orbit method on the Heisenberg and 4x4 unitriangular groups.
 
 The library counts orbit and class sizes from ranks over torus
-representatives, both in one walk inside kirillov_report.  The oracles in
-kirillov_oracles.py close the orbits instead: by dense matrix searches,
-and by the sparse BFS engine the library used before the rank formulas.
+representatives: form ranks over the derived coordinates and class ranks
+over the non-central ones.  The oracles in kirillov_oracles.py close the
+orbits instead, by dense matrix searches and by the sparse BFS engine the
+library used before the rank formulas, and take both ranks over the torus
+representatives of the whole space, as the library did before its walks
+moved to the two coordinate subsets.
 """
 
 import os
@@ -21,11 +24,15 @@ from repstat import kirillov
 from repstat.kirillov import (
     ALGEBRAS,
     HEIS3,
+    MAX_PRIME_BITS,
     MAX_TORUS_REPRESENTATIVES,
     UT4,
     UnsupportedCharacteristicError,
     _build_strictly_upper,
+    _forests,
     _nil_algebra,
+    _rank_counts,
+    _sides,
     _torus_representatives,
     check_prime,
     kirillov_report,
@@ -41,7 +48,10 @@ from kirillov_oracles import (
     oracle_coadjoint_orbits,
     oracle_conjugacy_classes,
     pairs,
+    whole_space_rank_counts,
 )
+
+UT5 = _build_strictly_upper("ut5", 5)
 
 
 class TestAlgebras:
@@ -50,10 +60,19 @@ class TestAlgebras:
         assert UT4.dim == 6 and UT4.nilpotency_class == 3 and UT4.derived_dim == 3
         assert set(ALGEBRAS) == {"heis3", "ut4"}
 
+    def test_sides_read_the_derived_and_the_non_central_coordinates(self):
+        # heis3: E13 spans [n, n] and z(n).  ut4: [n, n] is E13, E14, E24
+        # and z(n) is E14 alone, at positions 12, 13, 14, 23, 24, 34.
+        assert [coords for _, coords in _sides(HEIS3)] == [[1], [0, 2]]
+        assert [coords for _, coords in _sides(UT4)] == [[1, 2, 4], [0, 1, 3, 4, 5]]
+        for alg in (HEIS3, UT4, UT5):
+            assert len(_sides(alg)[0][1]) == alg.derived_dim
+
     @pytest.mark.parametrize("m, dim, nilpotency_class, derived_dim", [(5, 10, 4, 6), (6, 15, 5, 10)])
     def test_larger_unitriangular(self, m, dim, nilpotency_class, derived_dim):
         # ut_m has class m - 1, and its derived algebra is every entry off the first superdiagonal.
         # Each nonzero basis bracket [E_hi, E_ij] = E_hj is one choice of h < i < j.
+        # Its centre is the corner E_1m, so the class side reads every other coordinate.
         alg = _build_strictly_upper(f"ut{m}", m)
         assert (alg.dim, alg.nilpotency_class, alg.derived_dim, len(alg.brackets)) == (
             dim,
@@ -61,6 +80,7 @@ class TestAlgebras:
             derived_dim,
             comb(m, 3),
         )
+        assert [len(coords) for _, coords in _sides(alg)] == [derived_dim, dim - 1]
 
     def test_heis3_bracket(self):
         # [E12, E23] = E13 is the only nonzero basis bracket.
@@ -175,7 +195,8 @@ class TestAgainstOracle:
         assert dict(report.orbit_sizes) == {1: q**3, q**2: q**3 - q, q**4: q**2 - q}
         assert report.match_kirillov
 
-    @pytest.mark.parametrize("p", [11, 13, 127, 49_993])
+    # 2^32 - 5 is the largest prime within MAX_PRIME_BITS.
+    @pytest.mark.parametrize("p", [11, 13, 127, 49_993, 2**32 - 5])
     def test_heis3_closed_forms(self, p):
         # p central classes and p^2 - 1 of size p; p^2 linear characters
         # and p - 1 of degree p.
@@ -185,44 +206,83 @@ class TestAgainstOracle:
         assert sum(m for _, m in report.class_sizes) == p**2 + p - 1
         assert report.match_kirillov
 
+    @pytest.mark.parametrize("alg, p", [(HEIS3, 5), (HEIS3, 113), (UT4, 5), (UT4, 7), (UT4, 11)], ids=_case_id)
+    def test_rank_counts_match_the_whole_space_walk(self, alg, p):
+        assert _rank_counts(alg, p) == whole_space_rank_counts(alg, p)
+
+    @pytest.mark.parametrize("q", [5, 7])
+    def test_ut5_class_count(self, q):
+        # Vera-Lopez and Arregi: k(U_5(q)) = 5q^4 - 5q^2 + 1, 3,001 at q = 5 and 11,761 at 7.
+        report = kirillov_report(UT5, q)
+        n_classes = sum(m for _, m in report.class_sizes)
+        assert n_classes == sum(m for _, m in report.orbit_sizes) == 5 * q**4 - 5 * q**2 + 1
+        assert report.match_kirillov and not report.match_naive
+        if q == 7:
+            assert dict(report.rep_dims) == {1: 2401, 7: 4410, 49: 4368, 343: 546, 2401: 36}
+
+
+def _side_lengths(alg, p):
+    """Each side's walk length as check_prime counts it: the sum over supports of (p - 1)^|free|."""
+    return [sum((p - 1) ** len(free) for _, free in _forests(alg, coords)) for _, coords in _sides(alg)]
+
 
 def _walk_length(alg, p):
-    return sum((p - 1) ** len(free) for _, free in alg.supports)
+    return sum(_side_lengths(alg, p))
+
+
+def _cap_message(alg, p):
+    """The start of check_prime's refusal: the bit size of p is checked before the walks' length."""
+    if p.bit_length() > MAX_PRIME_BITS:
+        return f"^{alg.name} at p={p}: bits of p={p.bit_length()} exceeds the cap {MAX_PRIME_BITS}$"
+    walk = _walk_length(alg, p)
+    return f"^{alg.name} at p={p}: torus representatives={walk} exceeds the cap {MAX_TORUS_REPRESENTATIVES}$"
 
 
 class TestGuards:
-    """The walk's states are its torus representatives, which the cap counts before any rank."""
+    """The walks' states are their torus representatives, which the cap counts before any rank."""
 
     def test_state_cap_bounds(self):
-        # heis3 has one cycle, the full support, so its walk is p + 6 long.
-        assert _walk_length(UT4, 31) <= MAX_TORUS_REPRESENTATIVES < _walk_length(UT4, 37)
-        assert _walk_length(HEIS3, 49_993) <= MAX_TORUS_REPRESENTATIVES < _walk_length(HEIS3, 49_999)
-        assert [_walk_length(HEIS3, p) for p in (3, 127)] == [9, 133]
+        # heis3's sides have no cycle: 2 supports of the derived coordinate
+        # and 4 of the two non-central ones, one representative each.
+        assert _walk_length(UT4, 211) == 45_602 <= MAX_TORUS_REPRESENTATIVES < _walk_length(UT4, 223)
+        assert _walk_length(UT5, 7) <= MAX_TORUS_REPRESENTATIVES < _walk_length(UT5, 11) == 239_850
+        assert [_walk_length(HEIS3, p) for p in (3, 127, 49_999, 2**61 - 1)] == [6] * 4
+        assert [_side_lengths(UT4, p) for p in (5, 31)] == [[8, 68], [8, 1_134]]
 
-    @pytest.mark.parametrize("alg, p", [(UT4, 37), (UT4, 251), (HEIS3, 49_999), (HEIS3, 2**61 - 1)])
+    # heis3 is refused only by the bit size of p: 2^32 + 15 is the first prime past it.
+    @pytest.mark.parametrize("alg, p", [(UT4, 223), (UT4, 251), (HEIS3, 2**32 + 15), (HEIS3, 2**61 - 1)])
     def test_state_cap_refuses(self, alg, p):
-        with pytest.raises(CapExceededError, match=f"^{alg.name} at p={p}: torus representatives="):
+        with pytest.raises(CapExceededError, match=_cap_message(alg, p)):
             kirillov_report(alg, p)
 
-    @pytest.mark.parametrize("alg, p", [(UT4, 37), (HEIS3, 49_999)])
+    @pytest.mark.parametrize("alg, p", [(UT4, 223), (HEIS3, 2**32 + 15)])
     def test_state_cap_refuses_before_any_rank(self, monkeypatch, alg, p):
         def no_rank(rows, p):
             raise AssertionError("rank taken")
 
         monkeypatch.setattr(kirillov, "_rank_mod_p", no_rank)
-        with pytest.raises(CapExceededError, match="torus representatives"):
+        with pytest.raises(CapExceededError, match=_cap_message(alg, p)):
             kirillov_report(alg, p)
 
+    def test_ut5_refused_at_11(self):
+        with pytest.raises(CapExceededError, match=_cap_message(UT5, 11)):
+            kirillov_report(UT5, 11)
+
     def test_check_prime_refuses_huge_p_at_once(self):
-        # Trial division of 10^30 + 57 would run to about 10^15; the cap
-        # comes first, and refuses an even (non-prime) p the same way.
+        # Trial division of 10^30 + 57 would run to about 10^15; the bit
+        # cap comes first, and refuses an even (non-prime) p the same way.
         for p in (10**30 + 57, 10**30 + 56):
             start = time.monotonic()
-            message = f"^ut4 at p={p}: torus representatives={_walk_length(UT4, p)} "
-            message += f"exceeds the cap {MAX_TORUS_REPRESENTATIVES}$"
+            message = f"^ut4 at p={p}: bits of p=100 exceeds the cap {MAX_PRIME_BITS}$"
             with pytest.raises(CapExceededError, match=message):
                 check_prime(UT4, p)
             assert time.monotonic() - start < 1.0
+
+    def test_check_prime_at_the_bit_cap_is_quick(self):
+        # The largest admitted p takes trial division to 2^16.
+        start = time.monotonic()
+        check_prime(HEIS3, 2**32 - 5)
+        assert time.monotonic() - start < 1.0
 
     @pytest.mark.parametrize("p", [-251, -5, 0, 1])
     def test_check_prime_skips_the_cap_below_2(self, p):
@@ -244,22 +304,26 @@ class TestGuards:
 class TestTorusRepresentatives:
     @pytest.mark.parametrize("alg, p", [(alg, p) for alg in (HEIS3, UT4) for p in (2, 3, 5, 7, 11)])
     def test_cap_counts_the_walk(self, alg, p):
-        assert _walk_length(alg, p) == sum(1 for _ in _torus_representatives(alg, p))
+        walked = [sum(1 for _ in _torus_representatives(alg, coords, p)) for _, coords in _sides(alg)]
+        assert _side_lengths(alg, p) == walked
 
     @pytest.mark.parametrize("alg, p", [(HEIS3, 5), (HEIS3, 7), (UT4, 5)], ids=_case_id)
     def test_one_representative_per_torus_orbit(self, alg, p):
         # diag(t) scales coordinate (i, j) by t_i / t_j; fixing the last
         # t at 1 loses nothing, as scalars act trivially.
         torus = [(*t, 1) for t in product(range(1, p), repeat=alg.matrix_size - 1)]
-        seen = set()
-        for coords, weight in _torus_representatives(alg, p):
-            orbit = {
-                tuple(x * t[i] * pow(t[j], -1, p) % p for x, (i, j) in zip(coords, alg.positions)) for t in torus
-            }
-            assert len(orbit) == weight and not orbit & seen
-            seen |= orbit
-        # Disjoint orbits of total size p^dim cover every vector once.
-        assert len(seen) == p**alg.dim
+        for _, coords in _sides(alg):
+            seen = set()
+            for vector, weight in _torus_representatives(alg, coords, p):
+                assert all(vector[k] == 0 for k in range(alg.dim) if k not in coords)
+                orbit = {
+                    tuple(x * t[i] * pow(t[j], -1, p) % p for x, (i, j) in zip(vector, alg.positions)) for t in torus
+                }
+                assert len(orbit) == weight and not orbit & seen
+                seen |= orbit
+            # Disjoint orbits of vectors supported on coords, of total size
+            # p^|coords|, cover every such vector once.
+            assert len(seen) == p ** len(coords)
 
 
 class TestRankIntegrity:
@@ -274,7 +338,8 @@ class TestRankIntegrity:
 
     def test_sizes_must_partition_p_dim(self, monkeypatch):
         # The zero vector has rank 0 in both tallies: drop it from the class
-        # tally alone, then from the walk, which the orbit tally checks first.
+        # tally alone, then from one side's walk, where it stands for the
+        # p^(dim - |coordinates|) vectors that are zero on that side's coordinates.
         real_counts = kirillov._rank_counts
 
         def drop_zero_class(alg, p):
@@ -287,15 +352,18 @@ class TestRankIntegrity:
         monkeypatch.undo()
 
         real = kirillov._torus_representatives
+        # heis3 at p = 5: the form side drops 5^2 functionals, the class side 5^1 matrices.
+        for side, total in ((0, 100), (1, 120)):
 
-        def drop_zero_vector(alg, p):
-            reps = real(alg, p)
-            next(reps)
-            yield from reps
+            def drop_zero_vector(alg, coords, p):
+                reps = real(alg, coords, p)
+                if coords == _sides(alg)[side][1]:
+                    next(reps)
+                yield from reps
 
-        monkeypatch.setattr(kirillov, "_torus_representatives", drop_zero_vector)
-        with pytest.raises(IntegrityError, match="sum to 124, not 5"):
-            kirillov_report(HEIS3, 5)
+            monkeypatch.setattr(kirillov, "_torus_representatives", drop_zero_vector)
+            with pytest.raises(IntegrityError, match=f"sum to {total}, not 5"):
+                kirillov_report(HEIS3, 5)
 
     def test_orbits_must_equal_classes(self, monkeypatch):
         # heis3 at p = 5 has 29 of each; make every class a singleton.
@@ -381,13 +449,33 @@ class TestReport:
                 assert size == 1 and e % 2 == 0
 
     def test_walks_the_representatives_once(self, monkeypatch):
+        # One walk per side: the derived coordinates, then the non-central ones.
         calls = []
         real = kirillov._torus_representatives
 
-        def counted(alg, p):
-            calls.append((alg.name, p))
-            return real(alg, p)
+        def counted(alg, coords, p):
+            calls.append((alg.name, coords, p))
+            return real(alg, coords, p)
 
         monkeypatch.setattr(kirillov, "_torus_representatives", counted)
         kirillov_report(UT4, 5)
-        assert calls == [("ut4", 5)]
+        assert calls == [("ut4", [1, 2, 4], 5), ("ut4", [0, 1, 3, 4, 5], 5)]
+
+    @pytest.mark.parametrize(
+        "alg, p, walked",
+        [(HEIS3, 3, 6), (HEIS3, 49_993, 6), (HEIS3, 2**32 - 5, 6), (UT4, 5, 76), (UT4, 31, 1_142)],
+        ids=_case_id,
+    )
+    def test_representatives_walked(self, monkeypatch, alg, p, walked):
+        count = 0
+        real = kirillov._torus_representatives
+
+        def counted(alg, coords, p):
+            nonlocal count
+            for rep in real(alg, coords, p):
+                count += 1
+                yield rep
+
+        monkeypatch.setattr(kirillov, "_torus_representatives", counted)
+        kirillov_report(alg, p)
+        assert count == walked

@@ -20,7 +20,7 @@ RECORDS = [
     (Histogram, ("bin_edges", "counts")),
     (
         NilAlgebra,
-        ("name", "matrix_size", "dim", "positions", "brackets", "nilpotency_class", "derived_dim", "supports"),
+        ("name", "matrix_size", "dim", "positions", "brackets", "nilpotency_class", "derived_dim"),
     ),
     (
         OrbitReport,
