@@ -5,26 +5,32 @@ stdout or ``--out`` included), 3 size-cap refusal, 4 internal invariant
 violation.  Identical invocations produce byte-identical output;
 figure-style data is emitted as tables, plotting is left to other tools.
 
-Every command is one entry of ``_COMMANDS``: its path, help, flags,
-columns and a row builder.  ``build_parser`` turns the table into argparse
-subcommands.  ``main`` builds a command's rows in full before it writes
-anything, so a refusal (exit 2, 3 or 4) writes nothing and opens no
-``--out`` file.  Then ``_emit`` renders the rows as CSV or JSON text one
-row at a time, and ``main`` writes the text as it comes,
+Every command is one entry of ``_COMMANDS``: its path, help, flags, columns
+and a row builder.  ``build_parser`` turns the table into argparse
+subcommands, each parser filled as argparse first hands it arguments: the
+top parser adds the topics when it starts to parse, a topic its commands
+when the argv names it, a command its flags, so one call builds only the
+parsers on its own path (4 for ``kirillov``, 10 for a ``gl`` and 11 for a
+``sym`` command, against 17 for all).  ``main`` builds a command's rows in full
+before it writes anything, so a refusal (exit 2, 3 or 4) writes nothing and
+opens no ``--out`` file.  Then ``_emit`` renders the rows as CSV or JSON
+text one row at a time, and ``main`` writes the text as it comes,
 ``ROWS_PER_WRITE`` rows to a write, so the writer holds one block of rows
-whatever the table's size.  A failed write, or a cell type missing from
-the tables, may leave a prefix of the table written.  Rows hold library
-values; each format renders every cell through one table keyed by the
-cell's exact type (``_CSV``, ``_JSON``) that returns the finished field.
-The tables list every cell type a row builder emits: a cell of any other
-type is a builder defect, and it raises KeyError rather than reach the
-output as its str.  CSV fields are quoted as ``csv.writer``'s
-QUOTE_MINIMAL quotes them, which only str, partition and sequence text can
-need.  JSON is written in the layout of ``json.dumps(payload, indent=2)``:
-str cells are escaped by json's C ``encode_basestring_ascii``, and only
-the ``meta`` block passes through ``json.dumps``.  Every JSON table is
-``meta`` plus ``rows``.  The tests keep ``csv.writer`` and the
-whole-payload ``json.dumps`` as the oracle for these bytes.
+whatever the table's size.  A failed write, or a cell type missing from the
+tables, may leave a prefix of the table written.  Rows hold library values;
+each format renders every cell through one table keyed by the cell's exact
+type (``_CSV``, ``_JSON``) that returns the finished field.  The tables
+list every cell type a row builder emits: a cell of any other type is a
+builder defect, and it raises KeyError rather than reach the output as its
+str.  CSV fields are quoted as ``csv.writer``'s QUOTE_MINIMAL quotes them,
+which only str, partition and sequence text can need.  JSON is written in
+the layout of ``json.dumps(payload, indent=2)``: str cells are escaped by
+json's C ``encode_basestring_ascii``, and only the ``meta`` block passes
+through ``json.dumps``.  json is imported when a JSON table is written, and
+not by ``import repstat.cli`` or a CSV table; no table cell is a
+``Fraction``.  Every JSON table is ``meta`` plus ``rows``.  The tests keep
+``csv.writer`` and the whole-payload ``json.dumps`` as the oracle for these
+bytes.
 """
 
 from __future__ import annotations
@@ -32,13 +38,11 @@ from __future__ import annotations
 import argparse
 import contextlib
 import gc
-import json
 import os
 import re
 import sys
-from fractions import Fraction
+from functools import partial
 from itertools import chain, islice
-from json.encoder import encode_basestring_ascii
 from typing import Callable, NamedTuple
 
 from . import __version__
@@ -66,8 +70,7 @@ ROWS_PER_WRITE = 64
 # significant digits, sequences space-joined.
 _TEXT = {
     str: str, int: str, type(None): lambda v: "", bool: lambda v: "true" if v else "false",
-    float: "{:.12g}".format, Fraction: lambda v: f"{float(v):.12g}",
-    Partition: Partition.serialize, QPolynomial: QPolynomial.serialize,
+    float: "{:.12g}".format, Partition: Partition.serialize, QPolynomial: QPolynomial.serialize,
 }
 _TEXT[tuple] = _TEXT[list] = lambda v: " ".join([_TEXT[type(x)](x) for x in v])
 
@@ -116,13 +119,24 @@ def _json_seq(v, pad: str = "\n      ") -> str:
     return "[" + inner + ("," + inner).join(items) + pad + "]"
 
 
+def _json_str(v: str) -> str:
+    """v as a JSON string, escaped to ASCII by json's C encoder.
+
+    json is imported here rather than with this module, so that CSV output
+    never loads it.  Only the ``kind`` and ``argmax`` columns hold str cells,
+    so the import's per-call lookup stays off the large tables.
+    """
+    from json.encoder import encode_basestring_ascii
+
+    return encode_basestring_ascii(v)
+
+
 # Finished JSON text by exact type: big integers as strings, reals rounded
 # to 12 significant digits, sequences as lists.  Partition and polynomial
 # text is ASCII without quotes or backslashes, so it needs no escaping.
 _JSON = {
-    str: encode_basestring_ascii, int: lambda v: f'"{v}"', type(None): lambda v: "null", bool: _TEXT[bool],
-    float: _json_float, Fraction: lambda v: _json_float(float(v)),
-    Partition: lambda v: f'"{v.serialize()}"', QPolynomial: lambda v: f'"{v.serialize()}"',
+    str: _json_str, int: lambda v: f'"{v}"', type(None): lambda v: "null", bool: _TEXT[bool],
+    float: _json_float, Partition: lambda v: f'"{v.serialize()}"', QPolynomial: lambda v: f'"{v.serialize()}"',
     tuple: _json_seq, list: _json_seq,
 }
 
@@ -167,6 +181,8 @@ def _emit(args, rows):
 
 def _json_nested(value) -> str:
     """json.dumps(value, indent=2) at the depth of a top-level key."""
+    import json
+
     return json.dumps(value, indent=2).replace("\n", "\n  ")
 
 
@@ -176,7 +192,7 @@ def _json_rows(columns, rows):
     Rows are zipped to the columns, so a short row gives fewer keys and a
     long row's extra cells are dropped.
     """
-    keys = [f"      {encode_basestring_ascii(c)}: " for c in columns]
+    keys = [f"      {_json_str(c)}: " for c in columns]
     sep = "\n    "
     for row in rows:
         body = ",\n".join([k + _JSON[type(v)](v) for k, v in zip(keys, row)])
@@ -226,8 +242,9 @@ def _ratio_rows(a):
     ns = _sized_range(a.nmax, MAX_CLASS_COUNT_N)
     # The exact ratios grow with the bit size of q^(nmax^2); gamma_q bounds its own sum.
     _check_cap(a.nmax**2 * a.q.bit_length(), MAX_RATIO_BITS, f"--nmax {a.nmax} --q {a.q}: nmax^2 * bits(q)")
-    inv_gamma = 1 / gamma_q(a.q, GAMMA_REFERENCE_TERMS).value
-    return [(n, log_constant_ratio(n, a.q), inv_gamma) for n in ns]
+    inv_gamma = float(1 / gamma_q(a.q, GAMMA_REFERENCE_TERMS).value)
+    # The exact ratios as floats, which is all that their cells print.
+    return [(n, float(log_constant_ratio(n, a.q)), inv_gamma) for n in ns]
 
 
 def _kirillov_rows(a):
@@ -322,6 +339,35 @@ _COMMANDS = (
 
 
 class _Parser(argparse.ArgumentParser):
+    """An argument parser that adds its contents just before it first parses.
+
+    ``fill(parser)`` adds this parser's subparsers or flags.  argparse hands
+    a subparser its arguments through ``parse_known_args`` (3.10 to 3.13),
+    so only the parsers on the path of one argv are ever filled.  Help and
+    usage text asked for directly fill the parser first as well.
+    """
+
+    def __init__(self, *args, fill=None, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._fill = fill
+
+    def _fill_once(self):
+        if self._fill is not None:
+            fill, self._fill = self._fill, None
+            fill(self)
+
+    def parse_known_args(self, args=None, namespace=None):
+        self._fill_once()
+        return super().parse_known_args(args, namespace)
+
+    def format_usage(self):
+        self._fill_once()
+        return super().format_usage()
+
+    def format_help(self):
+        self._fill_once()
+        return super().format_help()
+
     def error(self, message):
         raise _UsageError(message)
 
@@ -331,21 +377,33 @@ class _UsageError(Exception):
 
 
 def build_parser() -> _Parser:
-    parser = _Parser(prog="repstat", description="Exact dimension statistics of finite groups")
+    return _Parser(prog="repstat", description="Exact dimension statistics of finite groups", fill=_add_topics)
+
+
+def _add_topics(parser: _Parser) -> None:
+    """The topics and top-level commands, in the order of ``_COMMANDS``."""
     topics = parser.add_subparsers(dest="topic", required=True)
-    groups = {}
     for cmd in _COMMANDS:
-        *topic, name = cmd.path
-        if topic and topic[0] not in groups:
-            group = topics.add_parser(topic[0], help=_TOPICS[topic[0]])
-            groups[topic[0]] = group.add_subparsers(dest="command", required=True)
-        p = (groups[topic[0]] if topic else topics).add_parser(name, help=cmd.help)
-        for flag, spec in cmd.args.items():
-            p.add_argument(flag, **spec)
-        p.add_argument("--format", choices=["csv", "json"], default="csv")
-        p.add_argument("--out", default=None, help="output path (default stdout)")
-        p.set_defaults(cmd=cmd)
-    return parser
+        if len(cmd.path) == 1:
+            topics.add_parser(cmd.path[0], help=cmd.help, fill=partial(_add_flags, cmd=cmd))
+        elif cmd.path[0] not in topics.choices:
+            topic = cmd.path[0]
+            topics.add_parser(topic, help=_TOPICS[topic], fill=partial(_add_commands, topic=topic))
+
+
+def _add_commands(parser: _Parser, topic: str) -> None:
+    commands = parser.add_subparsers(dest="command", required=True)
+    for cmd in _COMMANDS:
+        if cmd.path[:-1] == (topic,):
+            commands.add_parser(cmd.path[-1], help=cmd.help, fill=partial(_add_flags, cmd=cmd))
+
+
+def _add_flags(parser: _Parser, cmd: _Command) -> None:
+    for flag, spec in cmd.args.items():
+        parser.add_argument(flag, **spec)
+    parser.add_argument("--format", choices=["csv", "json"], default="csv")
+    parser.add_argument("--out", default=None, help="output path (default stdout)")
+    parser.set_defaults(cmd=cmd)
 
 
 def main(argv=None) -> int:

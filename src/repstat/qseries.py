@@ -16,11 +16,15 @@ a growing table rather than from a series product.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from operator import index, sub
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from .symstats import IntegrityError, _check_cap
+
+# fractions (and the decimal module it loads) is imported where a Fraction
+# is built, so that importing this module does not load it.
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 # Largest sizes the GL tables accept.  On a shared 2-CPU Xeon with Python
 # 3.11, feit_fine(200) takes about 0.8 s, gl_order over n = 1..60 about
@@ -332,6 +336,8 @@ def gamma_q(q, terms: int) -> GammaPartialSum:
     and is at most 2 q^(-T(T+1)/2) once q >= 2.  T(T+1)/2 * bits(q) above
     MAX_RATIO_BITS is refused before any term is summed.
     """
+    from fractions import Fraction
+
     q = Fraction(q)
     if q <= 1:
         raise ValueError(f"q must exceed 1, got {q}")
@@ -353,6 +359,8 @@ def log_constant_ratio(n: int, q) -> Fraction:
     B, C, D are the degree sum, the class count, and the group order of
     GL_n(F_q); for fixed q >= 2 the ratio tends to 1/gamma(q) as n grows.
     """
+    from fractions import Fraction
+
     if n < 1:
         raise ValueError(f"n must be at least 1, got {n}")
     q = Fraction(q)

@@ -32,13 +32,17 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from collections import Counter
-from fractions import Fraction
 from functools import lru_cache
 from math import factorial, perm
 from operator import attrgetter, mul
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from .partitions import Partition, _trusted_partition, partition_count
+
+# fractions (and the decimal module it loads) is imported where a Fraction
+# is built, so that importing this module does not load it.
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 # Largest n the S_n sweeps accept and largest bin count histogram accepts.
 # A sweep holds all p(n) records, 204,226 at n = 50.
@@ -246,6 +250,8 @@ def max_dimension(n: int) -> tuple[int, list[Partition]]:
 
 def plancherel_mass(lam: Partition) -> Fraction:
     """dim^2 / n! in lowest terms; these masses sum to 1 over all lam of n."""
+    from fractions import Fraction
+
     d = dimension(lam)
     return Fraction(d * d, factorial(lam.n))
 
@@ -267,6 +273,8 @@ class AngleReport(NamedTuple):
 
 def cos_sq_exact(n: int) -> Fraction:
     """I(n)^2 / (p(n) * n!) as an exact rational."""
+    from fractions import Fraction
+
     i = involution_count(n)
     return Fraction(i * i, partition_count(n) * factorial(n))
 
@@ -284,7 +292,8 @@ def angle_report(n: int) -> AngleReport:
         sum_dim=inv,
         sum_dim_sq=fact,
         count=pn,
-        cos_sq=float(Fraction(inv * inv, pn * fact)),
+        # Integer true division is correctly rounded: the float of the exact ratio.
+        cos_sq=inv * inv / (pn * fact),
         log_ratio=log_ratio,
         predicted_log=predicted,
     )
@@ -378,6 +387,8 @@ def fraction_near_max(n: int, threshold) -> tuple[Fraction, bool]:
     whether (threshold * C)^2 <= exp(-0.9 * a0 * sqrt(n)) with a0 the decay
     constant pi*sqrt(2/3) - 2, compared in log space.
     """
+    from fractions import Fraction
+
     frac = Fraction(threshold)
     if not 0 < frac < 1:
         raise ValueError(f"threshold must lie strictly between 0 and 1, got {threshold}")

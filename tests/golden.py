@@ -1,13 +1,18 @@
-"""Pinned stdout of every command, and a replay of the pins that needs only the standard library.
+"""Pinned stdout of every command, the eager parser, and a replay of both that needs only the standard library.
 
 ``GOLDEN`` lists one small invocation of every command with the SHA-256 of
-its stdout in CSV and in JSON.  ``tests/test_cli.py`` checks the pins in
-process; run this file under any supported Python to replay them there:
+its stdout in CSV and in JSON.  ``PARITY`` lists help, usage-error and
+valid argvs that the CLI, whose parsers fill themselves as argparse hands
+them arguments, must answer as ``eager_parser`` (every parser and flag
+built up front) does: same exit code, stdout and stderr.
+``tests/test_cli.py`` checks both in process; run this file under any
+supported Python to replay them there, argparse's dispatch included:
 
     PYTHONPATH=src python3.13 tests/golden.py
 
-It exits 0 when every argv, in both formats, exits 0 with no stderr and the
-pinned bytes, and otherwise prints one line per mismatch and exits 1.
+It exits 0 when every GOLDEN argv, in both formats, exits 0 with no stderr
+and the pinned bytes, and every PARITY argv matches the eager parser, and
+otherwise prints one line per mismatch and exits 1.
 """
 
 import hashlib
@@ -15,6 +20,7 @@ import io
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 
+from repstat import cli
 from repstat.cli import main
 
 # SHA-256 of stdout for one small invocation of every command, in CSV and
@@ -67,6 +73,60 @@ GOLDEN = [
 ]
 
 
+def eager_parser():
+    """The CLI's parser as it was built before parsers were filled on dispatch: all 17 parsers, every flag."""
+    parser = cli._Parser(prog="repstat", description="Exact dimension statistics of finite groups")
+    topics = parser.add_subparsers(dest="topic", required=True)
+    groups = {}
+    for cmd in cli._COMMANDS:
+        *topic, name = cmd.path
+        if topic and topic[0] not in groups:
+            group = topics.add_parser(topic[0], help=cli._TOPICS[topic[0]])
+            groups[topic[0]] = group.add_subparsers(dest="command", required=True)
+        p = (groups[topic[0]] if topic else topics).add_parser(name, help=cmd.help)
+        for flag, spec in cmd.args.items():
+            p.add_argument(flag, **spec)
+        p.add_argument("--format", choices=["csv", "json"], default="csv")
+        p.add_argument("--out", default=None, help="output path (default stdout)")
+        p.set_defaults(cmd=cmd)
+    return parser
+
+
+# Help pages, usage errors (argparse's dispatch order decides which error
+# an argv meets first) and one valid argv per command.
+PARITY = [
+    ["-h"], ["sym", "-h"], ["gl", "-h"],
+    *([*cmd.path, "-h"] for cmd in cli._COMMANDS),
+    [], ["sym"], ["gl"], ["foo"], ["sym", "bogus"], ["gl", "cen"], ["kirillov", "sweep"],
+    ["--foo", "sym", "sweep", "--n", "3"], ["--", "sym", "sweep"], ["sym", "sweep", "--", "--n", "3"],
+    ["sym", "sweep"], ["sym", "sweep", "--n", "x"], ["kirillov", "--alg", "nope", "--p", "3"],
+    ["gl", "ratio", "--nmax", "3", "--q", "2", "--format", "xml"], ["sym", "hist", "--n", "5", "--bins"],
+    *(next(argv.split() for argv, *_ in GOLDEN if tuple(argv.split()[: len(cmd.path)]) == cmd.path)
+      for cmd in cli._COMMANDS),
+]
+
+
+def run_with(parser_factory, argv) -> tuple[int, str, str]:
+    """main(argv) with cli.build_parser swapped for parser_factory: exit code, stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    real, cli.build_parser = cli.build_parser, parser_factory
+    try:
+        with redirect_stdout(out), redirect_stderr(err):
+            try:
+                code = main(list(argv))
+            except SystemExit as exc:  # argparse exits after a help page
+                code = exc.code
+    finally:
+        cli.build_parser = real
+    return code, out.getvalue(), err.getvalue()
+
+
+def replay_parity() -> list[str]:
+    """Every PARITY argv through the CLI's parser and the eager one; the argvs whose answers differ."""
+    return [f"{' '.join(argv)!r}: differs from the eager parser" for argv in PARITY
+            if run_with(cli.build_parser, argv) != run_with(eager_parser, argv)]
+
+
 def replay() -> list[str]:
     """Every GOLDEN argv in CSV and JSON through the CLI in process; the invocations that differ from their pin."""
     mismatches = []
@@ -82,6 +142,7 @@ def replay() -> list[str]:
 
 
 if __name__ == "__main__":
-    mismatches = replay()
-    print("\n".join(mismatches) or f"{2 * len(GOLDEN)} outputs match on Python {sys.version.split()[0]}")
+    mismatches = replay() + replay_parity()
+    print("\n".join(mismatches) or f"{2 * len(GOLDEN)} outputs match on Python {sys.version.split()[0]};"
+          f" {len(PARITY)} argvs parse as the eager parser parses them")
     sys.exit(1 if mismatches else 0)

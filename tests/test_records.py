@@ -34,9 +34,25 @@ def test_record_is_named_tuple(record, fields):
     assert issubclass(record, tuple) and record._fields == fields
 
 
-def test_cli_import_leaves_out_dataclasses():
+def child_modules(code: str) -> str:
+    """What a fresh interpreter running code, with this tree's repstat first, prints last to stderr."""
     src = str(Path(repstat.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
-    code = "import sys, repstat.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True).stdout
-    assert out.strip() == "[]"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    return proc.stderr.splitlines()[-1]
+
+
+def test_cli_import_leaves_out_dataclasses():
+    # Nor json, fractions and the decimal module that fractions loads: each is imported where it is used.
+    left_out = {"dataclasses", "inspect", "json", "fractions", "decimal"}
+    code = f"import sys, repstat.cli; print(sorted({left_out!r} & set(sys.modules)), file=sys.stderr)"
+    assert child_modules(code) == "[]"
+
+
+@pytest.mark.parametrize("argv", [["kirillov", "--alg", "heis3", "--p", "3"], ["gl", "census", "--q", "3"]])
+def test_csv_table_leaves_out_json_and_fractions(argv):
+    code = (
+        f"import sys, repstat.cli; code = repstat.cli.main({argv!r}); "
+        "print(code, sorted({'json', 'fractions'} & set(sys.modules)), file=sys.stderr)"
+    )
+    assert child_modules(code) == "0 []"

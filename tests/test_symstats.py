@@ -402,6 +402,12 @@ class TestAngle:
         with pytest.raises(ValueError, match="at least 1"):
             angle_report(n)
 
+    def test_cos_sq_is_the_float_of_the_exact_ratio(self):
+        # Integer true division rounds correctly, so it gives the exact ratio's float bit for bit.
+        for n in range(1, 51):
+            exact = Fraction(involution_count(n) ** 2, partition_count(n) * factorial(n))
+            assert angle_report(n).cos_sq == float(exact)
+
     def test_cauchy_schwarz_range(self):
         for n in range(1, 30):
             assert 0 < cos_sq_exact(n) <= 1
