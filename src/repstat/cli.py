@@ -47,15 +47,15 @@ from typing import Callable, NamedTuple
 
 from . import __version__
 from .kirillov import ALGEBRAS, kirillov_report
-from .partitions import Partition, partition_count
+from .partitions import Partition
 from .qseries import (
     MAX_CLASS_COUNT_N, MAX_POLY_N, MAX_RATIO_BITS, QPolynomial, feit_fine, gamma_q, gauss_identity_check,
     gl2_census, gl_order, gow_sum, log_constant_ratio,
 )
 from .rsk import sample_plancherel
 from .symstats import (
-    MAX_SWEEP_N, CapExceededError, IntegrityError, _check_cap, angle_report, asymptotic_estimates, histogram,
-    interval_counts, involution_count, layer_sums, ln_big, max_dimension, sweep, vk_ratio,
+    MAX_SWEEP_N, CapExceededError, IntegrityError, _check_cap, angle_report, histogram, interval_counts,
+    involution_count, layer_sums, ln_big, log_mean_dimension_estimate, max_dimension, sweep, vk_ratio,
 )
 
 GAMMA_REFERENCE_TERMS = 40
@@ -228,11 +228,11 @@ def _intervals_rows(a):
 def _maxdim_rows(a):
     rows = []
     for n in _sized_range(a.nmax, MAX_SWEEP_N):
-        m, argmax = max_dimension(n)
-        mean_log = ln_big(involution_count(n)) - ln_big(partition_count(n))
-        log_avg = asymptotic_estimates(n)[3]
+        level = sweep(n)
+        m, argmax = max_dimension(level)
+        mean_log = ln_big(involution_count(n)) - ln_big(len(level))
         argmax = ";".join(lam.serialize() for lam in argmax)
-        rows.append((n, m, argmax, vk_ratio(n), ln_big(m), mean_log, log_avg))
+        rows.append((n, m, argmax, vk_ratio(n, m), ln_big(m), mean_log, log_mean_dimension_estimate(n)))
     return rows
 
 

@@ -22,9 +22,9 @@ below that top row goes on the stack, 8,038 of the 26,015 at n = 38.
 The records are sorted once into reverse-lexicographic order.
 dimension walks a single partition with the same row step; class_size
 takes n! over the centralizer order straight from the multiplicities of
-the parts.  sweep(n) returns that level and caches only the last one;
-every S_n table (layer_sums, interval_counts, max_dimension, ...) reads
-it.
+the parts.  sweep(n) returns that level; no command reads a level
+twice.  sweep still caches the last level, to hold it to the exit rather
+than free it in process (6-7 ms at n = 38; see sweep).
 """
 
 from __future__ import annotations
@@ -181,7 +181,12 @@ def sweep(n: int) -> tuple[DimRecord, ...]:
     """One DimRecord per partition of n in enumeration order, moment identities verified.
 
     A bad n is refused before any walk; lru_cache keeps only successful
-    returns, so a refused n leaves the cached level in place.
+    returns, so a refused n leaves the cached level in place.  No command
+    reads a level twice; the cache stays to hold the last level to the
+    exit.  Freed in process, a level costs 6-7 ms at n = 38 and 1.5-2.4
+    ms at n = 34.  Without the cache, sym-tables wall_s was +3.7% in one
+    set of 10 alternating pairs at --seconds 30 (10 of 10 slower) and
+    -1.1% in another (6 of 10 slower), so measure before removing it.
     """
     if n < 1:
         raise ValueError(f"n must be at least 1, got {n}")
@@ -231,15 +236,15 @@ def sweep(n: int) -> tuple[DimRecord, ...]:
     return tuple(records)
 
 
-def max_dimension(n: int) -> tuple[int, list[Partition]]:
-    """Largest irreducible dimension of S_n and every partition attaining it.
+def max_dimension(records) -> tuple[int, list[Partition]]:
+    """Largest dimension in the level records = sweep(n) and every partition attaining it.
 
     The attaining set is closed under conjugation since dim is invariant
     under transposing the diagram.
     """
     best = 0
     argmax: list[Partition] = []
-    for rec in sweep(n):
+    for rec in records:
         if rec.dim > best:
             best = rec.dim
             argmax = [rec.lam]
@@ -304,34 +309,23 @@ def angle_decay_constant() -> float:
     return math.pi * math.sqrt(2.0 / 3.0) - 2.0
 
 
-def asymptotic_estimates(n: int) -> tuple[float, float, float, float]:
-    """Logs (nats) of the classical asymptotic estimates at finite n.
+def log_mean_dimension_estimate(n: int) -> float:
+    """ln of 2 sqrt(6) (n/e)^(n/2) n exp(sqrt(n)(1 - pi sqrt(2/3)) - 1/4) ~ I(n) / p(n).
 
-    Returns (log alpha, log beta, log gamma, log avg) where
-
-        alpha(n) = exp(pi sqrt(2n/3)) / (4 n sqrt(3))      ~ p(n)
-        beta(n)  = (n/e)^(n/2) e^sqrt(n) / (sqrt(2) e^(1/4)) ~ involutions
-        gamma(n) = sqrt(2 pi n) (n/e)^n                    ~ n!
-        avg(n)   = 2 sqrt(6) (n/e)^(n/2) n
-                   * exp(sqrt(n)(1 - pi sqrt(2/3)) - 1/4)  ~ mean dimension
-
-    Everything stays in log space so no value overflows a double.
+    That is the classical estimate of the mean dimension, taken in log
+    space so no value overflows a double.
     """
     if n < 1:
         raise ValueError(f"n must be at least 1, got {n}")
     rn = math.sqrt(n)
     ln_n = math.log(n)
-    log_alpha = math.pi * math.sqrt(2.0 * n / 3.0) - math.log(4.0 * math.sqrt(3.0) * n)
-    log_beta = 0.5 * n * (ln_n - 1.0) + rn - 0.5 * _LN2 - 0.25
-    log_gamma = 0.5 * math.log(2.0 * math.pi * n) + n * (ln_n - 1.0)
-    log_avg = (
+    return (
         math.log(2.0 * math.sqrt(6.0))
         + 0.5 * n * (ln_n - 1.0)
         + ln_n
         + rn * (1.0 - math.pi * math.sqrt(2.0 / 3.0))
         - 0.25
     )
-    return log_alpha, log_beta, log_gamma, log_avg
 
 
 class IntervalCounts(NamedTuple):
@@ -383,25 +377,25 @@ def layer_sums(n: int) -> list[tuple[int, float, float]]:
 def fraction_near_max(n: int, threshold) -> tuple[Fraction, bool]:
     """Proportion C of partitions whose dimension is within a factor of the max.
 
-    C = #{lam : threshold * m_n <= dim <= m_n} / p(n), exact.  Also reports
-    whether (threshold * C)^2 <= exp(-0.9 * a0 * sqrt(n)) with a0 the decay
-    constant pi*sqrt(2/3) - 2, compared in log space.
+    C = #{lam : threshold * m_n <= dim <= m_n} / p(n), exact, over one read
+    of sweep(n).  Also reports whether (threshold * C)^2 <= exp(-0.9 * a0 *
+    sqrt(n)) with a0 the decay constant pi*sqrt(2/3) - 2, in log space.
     """
     from fractions import Fraction
 
     frac = Fraction(threshold)
     if not 0 < frac < 1:
         raise ValueError(f"threshold must lie strictly between 0 and 1, got {threshold}")
-    m, _ = max_dimension(n)
-    near = sum(1 for rec in sweep(n) if rec.dim * frac.denominator >= frac.numerator * m)
-    c = Fraction(near, partition_count(n))
+    records = sweep(n)
+    m, _ = max_dimension(records)
+    near = sum(1 for rec in records if rec.dim * frac.denominator >= frac.numerator * m)
+    c = Fraction(near, len(records))
     bound_ok = 2.0 * ln_fraction(frac * c) <= -0.9 * angle_decay_constant() * math.sqrt(n)
     return c, bound_ok
 
 
-def vk_ratio(n: int) -> float:
-    """-ln(m_n^2 / n!) / sqrt(n), the concentration rate of the max dimension."""
-    m, _ = max_dimension(n)
+def vk_ratio(n: int, m: int) -> float:
+    """-ln(m^2 / n!) / sqrt(n), the concentration rate of m, the max dimension of S_n."""
     return (ln_big(factorial(n)) - 2.0 * ln_big(m)) / math.sqrt(n)
 
 

@@ -8,6 +8,8 @@ import hashlib
 import io
 import json
 import os
+import re
+import shlex
 import shutil
 import subprocess
 import sys
@@ -19,7 +21,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from repstat import __version__, cli
+from repstat import __version__, cli, symstats
 from repstat.cli import main
 from repstat.kirillov import ALGEBRAS, MAX_PRIME_BITS, MAX_TORUS_REPRESENTATIVES, _forests, _is_prime, _sides
 from repstat.partitions import Partition, partition_count
@@ -27,7 +29,7 @@ from repstat.qseries import (
     MAX_CENSUS_Q_BITS, MAX_CLASS_COUNT_N, MAX_GAUSS_ORDER, MAX_POLY_N, MAX_RATIO_BITS, QPolynomial,
 )
 from repstat.rsk import MAX_PLANCHEREL_CELLS, MAX_PLANCHEREL_N
-from repstat.symstats import MAX_HIST_BINS, MAX_SWEEP_N
+from repstat.symstats import MAX_HIST_BINS, MAX_SWEEP_N, fraction_near_max
 
 from golden import GOLDEN, PARITY, eager_parser, run_with
 
@@ -476,6 +478,59 @@ class TestTables:
         assert [r["size"] for r in rows if r["kind"] == "group_order"] == ["27"]
         checks = {r["kind"]: r["ok"] for r in rows if r["kind"].startswith("match")}
         assert checks == {"match_kirillov": True, "match_naive": False}
+
+
+def readme_usage():
+    """The argv of each ``repstat ...`` line of README's usage block, after ``repstat``."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"```sh\n(repstat .*?)```", text, re.S).group(1)
+    return [shlex.split(line, comments=True)[1:] for line in block.splitlines()]
+
+
+class TestReadme:
+    @pytest.mark.parametrize("argv", readme_usage(), ids=" ".join)
+    def test_usage_line_runs(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, err) == (0, "") and out
+
+    def test_every_command_is_in_the_usage(self):
+        usage = readme_usage()
+        missing = [cmd.path for cmd in cli._COMMANDS if all(tuple(argv[:len(cmd.path)]) != cmd.path for argv in usage)]
+        assert missing == []
+
+
+class TestOneReadPerLevel:
+    """No table reads a level of the sweep twice."""
+
+    @pytest.fixture
+    def reads(self, monkeypatch):
+        calls = []
+        real = symstats.sweep
+
+        def counting(n):
+            calls.append(n)
+            return real(n)
+
+        monkeypatch.setattr(symstats, "sweep", counting)
+        monkeypatch.setattr(cli, "sweep", counting)
+        return calls
+
+    def test_maxdim_reads_each_level_once(self, capsys, reads):
+        assert run_cli(capsys, "sym", "maxdim", "--nmax", "12")[0] == 0
+        assert reads == list(range(1, 13))
+
+    def test_fraction_near_max_reads_one_level(self, reads):
+        fraction_near_max(12, Fraction(1, 2))
+        assert reads == [12]
+
+    @pytest.mark.parametrize("argv", [
+        ("sym", "hist", "--n", "12", "--bins", "5"),
+        ("sym", "intervals", "--n", "12", "--alpha", "0.2", "--beta", "0.8"),
+        ("sym", "layers", "--n", "12"),
+    ], ids=" ".join)
+    def test_single_level_table_reads_it_once(self, capsys, reads, argv):
+        assert run_cli(capsys, *argv)[0] == 0
+        assert reads == [12]
 
 
 class TestGolden:
