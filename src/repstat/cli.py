@@ -243,6 +243,7 @@ def _ratio_rows(a):
     # The exact ratios grow with the bit size of q^(nmax^2); gamma_q bounds its own sum.
     _check_cap(a.nmax**2 * a.q.bit_length(), MAX_RATIO_BITS, f"--nmax {a.nmax} --q {a.q}: nmax^2 * bits(q)")
     inv_gamma = float(1 / gamma_q(a.q, GAMMA_REFERENCE_TERMS).value)
+    feit_fine(a.nmax)  # one expansion to nmax, so that no row re-expands the class counts
     # The exact ratios as floats, which is all that their cells print.
     return [(n, float(log_constant_ratio(n, a.q)), inv_gamma) for n in ns]
 

@@ -10,13 +10,16 @@ appear except in callers' reports.
 B_n and D_n both have the form q^s * prod_e (q^e - 1), kept as the pair
 (s, exponents): the polynomial is built by one shift-and-subtract pass per
 factor over a plain coefficient list, and log_constant_ratio evaluates the
-same exponents at q without building it.  C_n comes from a recurrence over
-a growing table rather than from a series product.
+same exponents at q without building it.  C_n comes from the Euler
+product itself, expanded on plain ints that each pack one polynomial in q
+(Kronecker substitution), and the Gauss identity from slice updates of
+an integer series; both multiply by 1 - t^m with one slice update.
 """
 
 from __future__ import annotations
 
-from operator import index, sub
+import sys
+from operator import add, index, sub
 from typing import TYPE_CHECKING, NamedTuple
 
 from .symstats import IntegrityError, _check_cap
@@ -27,14 +30,14 @@ if TYPE_CHECKING:
     from fractions import Fraction
 
 # Largest sizes the GL tables accept.  On a shared 2-CPU Xeon with Python
-# 3.11, feit_fine(200) takes about 0.8 s, gl_order over n = 1..60 about
-# 0.5 s, and gauss_identity_check(2000) about 0.6 s.  MAX_RATIO_BITS
+# 3.11, feit_fine(200) takes about 11 ms, gl_order over n = 1..60 about
+# 11 ms, and gauss_identity_check(2000) about 39 ms.  MAX_RATIO_BITS
 # bounds the bit size of the exact rationals: gamma_q refuses terms T when
 # T(T+1)/2 * bits(q) exceeds it, before summing (its 40-term reference sum
 # in `gl ratio` then admits q up to 159 bits, about 0.5 s, where 10^1000
 # took 87 s unbounded), and `gl ratio` refuses nmax^2 * bits(q) above it,
 # since its ratios grow with the bit size of q^(nmax^2): --nmax 200 passes
-# up to q = 7 (about 1.4 s) and refuses q = 97 (about 5.7 s).
+# up to q = 7 (about 0.41 s) and refuses q = 97 (about 2.1 s).
 # `gl census` bounds the bit size of q: its largest cells are about q^4,
 # and at 3000 bits those print in at most 3,613 digits, below Python's
 # default 4,300-digit int-to-str limit.
@@ -194,45 +197,70 @@ class TruncatedSeries:
         return TruncatedSeries(n, out)
 
 
-_class_counts = [P_ONE]  # dense table of C_0, C_1, ..., grown on demand
+_class_counts = [P_ONE]  # C_0, C_1, ..., expanded afresh when a larger nmax is asked for
+
+# memoryview format of one packed coefficient: a signed 64-bit digit, so a
+# packed C_n is C_n(2^64).  The overpartition numbers bound every
+# coefficient of C_n, and the tests pin that they stay below 2^63 up to
+# the cap.
+_DIGIT = "q"
+
+
+def _times_one_minus(s: list[int], m: int) -> None:
+    """s *= 1 - t^m to len(s) terms, in one slice update that reads the old values."""
+    s[m:] = map(sub, s[m:], s[: len(s) - m])
+
+
+def _over_one_minus(s: list[int], m: int) -> None:
+    """s /= 1 - t^m: out[k] = in[k] + out[k-m], one block of m at a time."""
+    for k in range(m, len(s), m):
+        s[k : k + m] = map(add, s[k : k + m], s[k - m : k])
 
 
 def feit_fine(nmax: int) -> tuple[QPolynomial, ...]:
     """Class-count polynomials C_0..C_nmax for GL_n(F_q).
 
-    The generating function is prod_{r>=1} (1 - t^r) / (1 - q t^r); taking
-    t d/dt of its logarithm gives n C_n = sum_{k=1..n} a_k C_{n-k} with
-    a_k(q) = sum_{r|k} r (q^(k/r) - 1) (Macdonald, Symmetric Functions and
-    Hall Polynomials, Ch. IV).  Each new C_n is checked to come out of an
-    exact division by n, monic of degree n; C_n(q) counts the conjugacy
-    classes of GL_n(F_q).
+    C_n(q) counts the conjugacy classes of GL_n(F_q), and sum_n C_n t^n =
+    prod_{r>=1} (1 - t^r) / (1 - q t^r) (Macdonald, Symmetric Functions and
+    Hall Polynomials, Ch. IV).  The product is expanded to order nmax on
+    plain ints by Kronecker substitution: each entry packs a polynomial in
+    q as its value at q = 2^64, one signed 64-bit digit per coefficient,
+    so multiplying by q is a shift.  Each C_n is checked to decode into
+    exactly n + 1 digits, to be monic of degree n, and to vanish at q = 1
+    for n >= 1 (the product is 1 there).
     """
     if nmax < 0:
         raise ValueError(f"nmax must be nonnegative, got {nmax}")
     _check_cap(nmax, MAX_CLASS_COUNT_N, "nmax")
     table = _class_counts
     if len(table) <= nmax:
-        # a_k for k <= nmax as its nonzero terms (e, c), meaning c q^e, from
-        # one divisor sieve: (k/r, r) for each divisor r of k in increasing
-        # order, after the constant -sigma(k).
-        pairs = [[] for _ in range(nmax + 1)]
+        width = memoryview(b"").cast(_DIGIT).itemsize
+        bits = 8 * width
+        s = [1] + [0] * nmax
         for r in range(1, nmax + 1):
-            for k in range(r, nmax + 1, r):
-                pairs[k].append((k // r, r))
-        log_terms = [((0, -sum(r for _, r in p)), *p) for p in pairs]
-        for n in range(len(table), nmax + 1):
-            total = [0] * (n + 1)
-            for k in range(1, n + 1):
-                prev = table[n - k].coeffs
-                for e, c in log_terms[k]:
-                    for i, v in enumerate(prev, e):
-                        total[i] += c * v
-            if any(v % n for v in total):
-                raise IntegrityError(f"n*C_n is not divisible by n={n}")
-            poly = QPolynomial(v // n for v in total)
-            if poly.degree != n or poly.leading != 1:
-                raise IntegrityError(f"C_{n} is not monic of degree {n}: {poly}")
-            table.append(poly)
+            _times_one_minus(s, r)
+            # Dividing by 1 - q t^r is out[k] = in[k] + q out[k-r], and q is a shift.
+            for k in range(r, nmax + 1):
+                s[k] += s[k - r] << bits
+        # While every digit lies in [-2^(bits-1), 2^(bits-1)), adding 2^(bits-1)
+        # to each and flipping that bit back leaves each in two's complement,
+        # with no carries between them.
+        half = 1 << (bits - 1)
+        bias = 0
+        polys = []
+        for n, packed in enumerate(s):
+            bias = bias << bits | half
+            try:
+                raw = ((packed + bias) ^ bias).to_bytes(width * (n + 1), sys.byteorder)
+            except OverflowError:
+                raise IntegrityError(f"C_{n} does not decode into {n + 1} digits of {bits} bits") from None
+            coeffs = memoryview(raw).cast(_DIGIT)
+            if coeffs[n] != 1:
+                raise IntegrityError(f"C_{n} is not monic of degree {n}: {QPolynomial(coeffs)}")
+            if n and sum(coeffs):
+                raise IntegrityError(f"C_{n}(1) is {sum(coeffs)}, not 0")
+            polys.append(QPolynomial(coeffs))
+        table[:] = polys
     return tuple(table[: nmax + 1])
 
 
@@ -282,6 +310,8 @@ def gl_order(n: int) -> QPolynomial:
     return _factor_polynomial(*_gl_order_factors(n))
 
 
+# No command calls this schoolbook product; it stays because perfbench/tracer.py
+# patches it by name, and the tests check the slice kernels against it.
 def _int_series_mul(a: list[int], b: list[int], order: int) -> list[int]:
     out = [0] * (order + 1)
     for j, y in enumerate(b[: order + 1]):
@@ -305,20 +335,10 @@ def gauss_identity_check(order: int) -> bool:
     while i * (i + 1) // 2 <= order:
         lhs[i * (i + 1) // 2] = 1
         i += 1
-    rhs = [0] * (order + 1)
-    rhs[0] = 1
-    i = 1
-    while 2 * i - 1 <= order:
-        if 2 * i <= order:
-            numerator = [0] * (order + 1)
-            numerator[0] = 1
-            numerator[2 * i] = -1
-            rhs = _int_series_mul(rhs, numerator, order)
-        # Dividing by 1 - t^m is the running sum out[k] = in[k] + out[k-m].
-        m = 2 * i - 1
-        for k in range(m, order + 1):
-            rhs[k] += rhs[k - m]
-        i += 1
+    rhs = [1] + [0] * order
+    for m in range(1, order + 1, 2):
+        _times_one_minus(rhs, m + 1)
+        _over_one_minus(rhs, m)
     return lhs == rhs
 
 

@@ -71,3 +71,31 @@ def gow_sum_pairs(n: int) -> QPolynomial:
 def gl_order_pairs(n: int) -> QPolynomial:
     """|GL_n(F_q)| = (q^n - 1)(q^n - q)...(q^n - q^(n-1)), one factor per choice of row."""
     return _pair_product((n, i) for i in range(n))
+
+
+def log_derivative_class_counts(nmax: int) -> tuple[QPolynomial, ...]:
+    """C_0..C_nmax from the log-derivative recurrence n C_n = sum_{k=1..n} a_k C_{n-k}.
+
+    Taking t d/dt of the logarithm of prod_{r>=1} (1 - t^r) / (1 - q t^r)
+    gives a_k(q) = sum_{r|k} r (q^(k/r) - 1).  Each n C_n is checked to be
+    divisible by n, so the recurrence checks itself as it goes.
+    """
+    # a_k as its nonzero terms (e, c), meaning c q^e, from one divisor sieve:
+    # (k/r, r) for each divisor r of k in increasing order, after -sigma(k).
+    pairs = [[] for _ in range(nmax + 1)]
+    for r in range(1, nmax + 1):
+        for k in range(r, nmax + 1, r):
+            pairs[k].append((k // r, r))
+    log_terms = [((0, -sum(r for _, r in p)), *p) for p in pairs]
+    table = [q_power(0)]
+    for n in range(1, nmax + 1):
+        total = [0] * (n + 1)
+        for k in range(1, n + 1):
+            prev = table[n - k].coeffs
+            for e, c in log_terms[k]:
+                for i, v in enumerate(prev, e):
+                    total[i] += c * v
+        if any(v % n for v in total):
+            raise ArithmeticError(f"n*C_n is not divisible by n={n}")
+        table.append(QPolynomial(v // n for v in total))
+    return tuple(table)

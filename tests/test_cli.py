@@ -21,7 +21,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from repstat import __version__, cli, symstats
+from repstat import __version__, cli, qseries, symstats
 from repstat.cli import main
 from repstat.kirillov import ALGEBRAS, MAX_PRIME_BITS, MAX_TORUS_REPRESENTATIVES, _forests, _is_prime, _sides
 from repstat.partitions import Partition, partition_count
@@ -531,6 +531,22 @@ class TestOneReadPerLevel:
     def test_single_level_table_reads_it_once(self, capsys, reads, argv):
         assert run_cli(capsys, *argv)[0] == 0
         assert reads == [12]
+
+
+def test_ratio_expands_the_class_counts_once(capsys, monkeypatch):
+    # Each row reads C_n; without the expansion to nmax up front, every row
+    # would expand the Euler product again at its own n.
+    monkeypatch.setattr(qseries, "_class_counts", [qseries.P_ONE])
+    factors = []
+    real = qseries._times_one_minus
+
+    def counting(s, m):
+        factors.append(m)
+        real(s, m)
+
+    monkeypatch.setattr(qseries, "_times_one_minus", counting)
+    assert run_cli(capsys, "gl", "ratio", "--nmax", "40", "--q", "2")[0] == 0
+    assert factors == list(range(1, 41))
 
 
 class TestGolden:

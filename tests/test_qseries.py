@@ -5,6 +5,7 @@ import subprocess
 import sys
 import time
 from fractions import Fraction
+from math import isqrt
 from pathlib import Path
 
 import pytest
@@ -19,6 +20,8 @@ from repstat.qseries import (
     QPolynomial,
     TruncatedSeries,
     _int_series_mul,
+    _over_one_minus,
+    _times_one_minus,
     census_class_count_polynomial,
     feit_fine,
     gamma_q,
@@ -31,7 +34,8 @@ from repstat.qseries import (
 from repstat.symstats import CapExceededError, IntegrityError
 
 from gl_oracles import (
-    UnsupportedFieldError, gl_order_pairs, gow_sum_pairs, q_power, symmetric_invertible_count,
+    UnsupportedFieldError, gl_order_pairs, gow_sum_pairs, log_derivative_class_counts, q_power,
+    symmetric_invertible_count,
 )
 
 
@@ -54,6 +58,18 @@ def euler_product_class_counts(nmax):
         geometric = {r * k: q_power(k) for k in range(nmax // r + 1)}
         series = series * TruncatedSeries.from_terms(nmax, geometric)
     return series.coeffs
+
+
+def overpartition_counts(nmax):
+    """pbar(0..nmax), the coefficients of prod (1 + t^r) / (1 - t^r).
+
+    That product is 1 / sum_{k in Z} (-1)^k t^(k^2) (Gauss), so
+    pbar(n) = 2 sum_{k>=1} (-1)^(k+1) pbar(n - k^2).
+    """
+    pbar = [1]
+    for n in range(1, nmax + 1):
+        pbar.append(2 * sum((-1) ** (k + 1) * pbar[n - k * k] for k in range(1, isqrt(n) + 1)))
+    return pbar
 
 
 @pytest.fixture
@@ -150,7 +166,24 @@ class TestFeitFine:
         assert census_class_count_polynomial() == feit_fine(2)[2]
 
     def test_recurrence_matches_euler_product(self, fresh_tables):
-        assert feit_fine(40) == euler_product_class_counts(40)
+        assert feit_fine(40) == euler_product_class_counts(40) == log_derivative_class_counts(40)
+
+    def test_matches_log_derivative_recurrence_at_cap(self, fresh_tables):
+        n = qseries.MAX_CLASS_COUNT_N
+        assert feit_fine(n) == log_derivative_class_counts(n)
+
+    def test_overpartitions_bound_the_digits_at_cap(self):
+        # Every coefficient of C_n is a signed count of terms of
+        # prod (1 - t^r) sum_j q^j t^(rj), so |coefficient| <= pbar(n), the
+        # t^n coefficient of prod (1 + t^r) / (1 - t^r); the packed kernel
+        # needs them all below 2^63, its signed 64-bit digit.
+        n = qseries.MAX_CLASS_COUNT_N
+        pbar = overpartition_counts(n)
+        assert pbar[:8] == [1, 2, 4, 8, 14, 24, 40, 64]
+        assert pbar[200] == 12_055_596_613_448_604
+        assert pbar[n] < 2**63
+        assert memoryview(b"").cast(qseries._DIGIT).itemsize == 8
+        assert all(max(map(abs, c.coeffs)) <= b for c, b in zip(feit_fine(n), pbar))
 
     def test_table_independent_of_call_order(self, fresh_tables):
         big = feit_fine(40)
@@ -158,21 +191,31 @@ class TestFeitFine:
         qseries._class_counts[:] = [P_ONE]
         assert feit_fine(5) == big[:6]
         assert feit_fine(40) == big
-        # One n at a time: each call grows the table by one entry and runs the divisor sieve at that size.
+        # One n at a time: each call expands the product afresh at that size.
         qseries._class_counts[:] = [P_ONE]
         steps = [feit_fine(n)[n] for n in range(61)]
         qseries._class_counts[:] = [P_ONE]
         assert tuple(steps) == feit_fine(60)
 
+    def test_narrow_digits_are_exact_while_they_fit(self, monkeypatch, fresh_tables):
+        # 8-bit digits hold every coefficient of C_0..C_115; C_116 has one below -128.
+        big = feit_fine(115)
+        qseries._class_counts[:] = [P_ONE]
+        monkeypatch.setattr(qseries, "_DIGIT", "b")
+        assert feit_fine(115) == big
+
     @pytest.mark.parametrize(
-        "corruption, match",
-        [(P_ONE, "divisible"), (4 * q_power(3), "monic")],
+        "name, corruption, n, match",
+        [
+            ("_DIGIT", "b", 116, r"C_116\(1\) is 255, not 0"),
+            ("_times_one_minus", lambda s, m: None, 1, r"C_1\(1\) is 1, not 0"),
+        ],
+        ids=["narrow-digits", "no-numerator"],
     )
-    def test_corrupted_entry_is_integrity_error(self, fresh_tables, corruption, match):
-        feit_fine(3)
-        qseries._class_counts[3] = qseries._class_counts[3] + corruption
+    def test_corrupted_kernel_is_integrity_error(self, monkeypatch, fresh_tables, name, corruption, n, match):
+        monkeypatch.setattr(qseries, name, corruption)
         with pytest.raises(IntegrityError, match=match):
-            feit_fine(4)
+            feit_fine(n)
 
     def test_integrity_check_survives_optimize_flag(self):
         src = str(Path(repstat.__file__).resolve().parents[1])
@@ -180,10 +223,9 @@ class TestFeitFine:
         code = (
             "from repstat import qseries\n"
             "from repstat.symstats import IntegrityError\n"
-            "qseries.feit_fine(3)\n"
-            "qseries._class_counts[3] = qseries._class_counts[3] + qseries.P_ONE\n"
+            "qseries._DIGIT = 'b'\n"
             "try:\n"
-            "    qseries.feit_fine(4)\n"
+            "    qseries.feit_fine(116)\n"
             "except IntegrityError:\n"
             "    print('raised')\n"
         )
@@ -259,6 +301,26 @@ class TestGaussIdentity:
         terms = st.lists(st.integers(min_value=-50, max_value=50), min_size=order + 1, max_size=order + 1)
         a, b = data.draw(terms), data.draw(terms)
         assert _int_series_mul(a, b, order) == dense_product(a, b)[: order + 1]
+
+    @given(st.integers(min_value=0, max_value=30), st.integers(min_value=1, max_value=35), st.data())
+    def test_slice_kernels_match_product_and_running_sum(self, order, m, data):
+        terms = st.lists(st.integers(min_value=-(10**6), max_value=10**6), min_size=order + 1, max_size=order + 1)
+        s = data.draw(terms)
+        binomial = [0] * (order + 1)
+        binomial[0] = 1
+        if m <= order:
+            binomial[m] = -1
+        times = list(s)
+        _times_one_minus(times, m)
+        assert times == _int_series_mul(s, binomial, order)
+        over = list(s)
+        _over_one_minus(over, m)
+        running = list(s)
+        for k in range(m, order + 1):
+            running[k] += running[k - m]
+        assert over == running
+        _times_one_minus(over, m)
+        assert over == s
 
 
 class TestGamma:
