@@ -55,7 +55,7 @@ from .qseries import (
 from .rsk import sample_plancherel
 from .symstats import (
     MAX_SWEEP_N, CapExceededError, IntegrityError, _check_cap, angle_report, histogram, interval_counts,
-    involution_count, layer_sums, ln_big, log_mean_dimension_estimate, max_dimension, sweep, vk_ratio,
+    involution_count, layer_sums, level_maxima, ln_big, log_mean_dimension_estimate, sweep, vk_ratio,
 )
 
 GAMMA_REFERENCE_TERMS = 40
@@ -226,11 +226,10 @@ def _intervals_rows(a):
 
 
 def _maxdim_rows(a):
+    ns = _sized_range(a.nmax, MAX_SWEEP_N)
     rows = []
-    for n in _sized_range(a.nmax, MAX_SWEEP_N):
-        level = sweep(n)
-        m, argmax = max_dimension(level)
-        mean_log = ln_big(involution_count(n)) - ln_big(len(level))
+    for n, (m, argmax, count) in zip(ns, level_maxima(a.nmax)):
+        mean_log = ln_big(involution_count(n)) - ln_big(count)
         argmax = ";".join(lam.serialize() for lam in argmax)
         rows.append((n, m, argmax, vk_ratio(n, m), ln_big(m), mean_log, log_mean_dimension_estimate(n)))
     return rows

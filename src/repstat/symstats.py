@@ -4,27 +4,37 @@ All counts are exact arbitrary-precision integers; floating point enters
 only through natural logarithms of those integers, taken with ln_big so
 that accuracy does not degrade when the integers outgrow a double.
 
-Exact identities maintained throughout (and re-verified on every sweep):
+Exact identities maintained throughout (and re-verified on every level
+that sweep or level_maxima builds):
 
     sum of dim           = number of involutions in S_n
     sum of dim^2         = n!
     sum of class sizes   = n!    (the class equation)
 
-The sweep builds every partition of n bottom-up, one row at a time, in a
-depth-first walk.  By the hook-length formula (Frame, Robinson and Thrall
+One walk (_walk) builds the partitions bottom-up, one row at a time,
+depth first.  By the hook-length formula (Frame, Robinson and Thrall
 1954) a new top row adds hooks only in its own boxes, so the rows below
 keep theirs: each step multiplies the carried hook product by the new
 row's hooks (_top_row), and the carried centralizer order by v times the
-run length of v.  Each node of the walk is finished as soon as it is
-made: the top row that takes all the boxes left completes it to one
-partition of n, one record.  Only a node with room for one more row
-below that top row goes on the stack, 8,038 of the 26,015 at n = 38.
-The records are sorted once into reverse-lexicographic order.
-dimension walks a single partition with the same row step; class_size
-takes n! over the centralizer order straight from the multiplicities of
-the parts.  sweep(n) returns that level; no command reads a level
-twice.  sweep still caches the last level, to hold it to the exit rather
-than free it in process (6-7 ms at n = 38; see sweep).
+run length of v.  A node of m boxes is closed by a top row w at least as
+long as its top, to one partition of m + w; only a node with room for
+one more row below such a top row goes on the stack.  Each node also
+carries a base from the bounded-part counts B[k][j] (the partitions of k
+with no part above j), so the partition it closes to has a known rank in
+reverse-lexicographic order, one table lookup away; nothing is sorted.
+
+sweep(n) walks to n and closes each node at n alone: each record goes
+straight into its rank slot, and the exact arithmetic runs as map passes
+over chunks of 256 records.  level_maxima(nmax) walks to nmax once and
+closes each node at every level where its top row fits, keeping per
+level only running sums, the count, the max and its argmax: `sym maxdim`
+materializes no level, and --nmax 50 ran in 2.2 s at a 16 MB peak
+against 6.6 s and 177 MB when it swept each level (Python 3.11, shared
+2-CPU host).  dimension walks a single partition with the same row step;
+class_size takes n! over the centralizer order straight from the
+multiplicities of the parts.  No command reads a level twice.  sweep
+still caches the last level, to hold it to the exit rather than free it
+in process (6-7 ms at n = 38; see sweep).
 """
 
 from __future__ import annotations
@@ -33,8 +43,9 @@ import math
 from bisect import bisect_right
 from collections import Counter
 from functools import lru_cache
+from itertools import compress, islice, repeat
 from math import factorial, perm
-from operator import attrgetter, mul
+from operator import add, eq, floordiv, mod, mul, rshift
 from typing import TYPE_CHECKING, NamedTuple
 
 from .partitions import Partition, _trusted_partition, partition_count
@@ -50,6 +61,11 @@ MAX_SWEEP_N = 50
 MAX_HIST_BINS = 10_000
 
 _LN2 = math.log(2)
+
+# ln_big's shift by bit length, clamped at 0 (log(x >> 0) + 0 * ln 2 is
+# log(x)), and that shift times ln 2, for integers up to (MAX_SWEEP_N!)^2.
+_SHIFT = [max(b - 64, 0) for b in range(513)]
+_SHIFT_LN2 = [s * _LN2 for s in _SHIFT]
 
 
 class IntegrityError(RuntimeError):
@@ -176,9 +192,113 @@ class DimRecord(NamedTuple):
     log_class: float  # ln(class size), nats
 
 
+# Records per batch of exact arithmetic in sweep: each batch runs as C-level
+# map passes over its columns.
+_CHUNK = 256
+
+
+def _bounded_counts(n: int) -> list[list[int]]:
+    """B[k][j], the number of partitions of k with no part above j, for k, j <= n.
+
+    B[k][j] = B[k][j - 1] + B[k - j][j] (those without a part j, then those
+    with one), and B[k][j] = p(k) once j >= k.
+    """
+    table = [[1] * (n + 1)]
+    for k in range(1, n + 1):
+        row = [0]
+        for j in range(1, n + 1):
+            row.append(row[-1] + (table[k - j][j] if j <= k else 0))
+        table.append(row)
+    return table
+
+
+def _walk(nmax: int, counts):
+    """Every node of the bottom-up walk to nmax boxes, depth first, the empty node first.
+
+    A node is a stack of rows, bottom-up, with room for a top row of at
+    least its own top on some level up to nmax: (below, top, depth, rest,
+    hook product, centralizer order, run length of top, segments, base).
+    Its rows are top over the rows below (none for the empty node, whose
+    top is 0), and rest is nmax less its boxes.  The rows of a node are
+    laid out as one tuple only when it goes on the stack, which it does
+    only if it can take another row below its top row.
+
+    base places the node's partitions in reverse-lexicographic order.  The
+    rank of lam among the partitions of k is the sum over its rows i of
+    B[r][lam_(i-1)] - B[r][lam_i], with B = counts, r the boxes in row i
+    and below, and lam_0 = k.  base is that sum over the rows below the
+    top, less B[m][top] for the top row, m being the node's boxes; so a
+    top row w closes the node to a partition of k = m + w whose rank is
+    base + B[m][w] + p(k) - B[k][w].
+    """
+    # A row v over m boxes adds B[m][v] - B[m + v][v] to the base.
+    steps = [[below[v] - counts[m + v][v] for v in range((nmax - m) // 2 + 1)] for m, below in enumerate(counts)]
+    root = ((), 0, 0, nmax, 1, 1, 0, (), -1)
+    yield root
+    nodes = [root]
+    while nodes:
+        below, top, depth, rest, hooks, central, run, segments, base = nodes.pop()
+        rows = (top, *below) if top else ()
+        step = steps[nmax - rest]
+        # Every next row v that leaves room for a top row of at least v.
+        for v in range(top or 1, rest // 2 + 1):
+            r = run + 1 if v == top else 1
+            child = (
+                rows, v, depth + 1, rest - v,
+                hooks * _top_row(v, top, depth, segments), central * v * r, r,
+                segments if v == top else (*segments, (top + depth + 1, v - top)),
+                base + step[v],
+            )
+            yield child
+            # Its top row, rest - v, could split into a row of v and a top row of at least v.
+            if rest - v >= 2 * v:
+                nodes.append(child)
+
+
+def _lam(w: int, below, top: int) -> Partition:
+    """The partition that a top row w makes of a node."""
+    return _trusted_partition((w, top, *below) if top else (w,))
+
+
+def _ln_batch(xs):
+    """ln_big over positive integers xs below 2**512, the same floats bit for bit."""
+    bits = list(map(int.bit_length, xs))
+    return map(add, map(math.log, map(rshift, xs, map(_SHIFT.__getitem__, bits))), map(_SHIFT_LN2.__getitem__, bits))
+
+
+def _close(fact: int, ws, below, top, depth, hooks, central, run, segments) -> tuple[list[int], list[int]]:
+    """Dimensions and class sizes of the partitions of n that top rows ws make of nodes, n! = fact.
+
+    The nodes come as columns of _walk's fields, rest and base left out.
+    """
+    facts = repeat(fact)
+    hooks = list(map(mul, hooks, map(_top_row, ws, top, depth, segments)))
+    if any(map(mod, facts, hooks)):
+        lam = _lam(*next(compress(zip(ws, below, top), map(mod, facts, hooks))))
+        raise IntegrityError(f"hook product does not divide n! for {list(lam)}")
+    # The top row w adds w, and closes a run of length run + 1 when w == top.
+    central = map(mul, central, map(mul, ws, map(add, repeat(1), map(mul, map(eq, ws, top), run))))
+    return list(map(floordiv, facts, hooks)), list(map(floordiv, facts, central))
+
+
+def _check_level(n: int, count: int, sum_dim: int, sum_dim_sq: int, sum_class: int) -> None:
+    fact = factorial(n)
+    if sum_dim != involution_count(n) or sum_dim_sq != fact or sum_class != fact:
+        raise IntegrityError(f"moment identities failed at n={n}")
+    if count != partition_count(n):
+        raise IntegrityError(f"the walk made {count} partitions of {n}, not p({n})")
+
+
 @lru_cache(maxsize=1)
 def sweep(n: int) -> tuple[DimRecord, ...]:
     """One DimRecord per partition of n in enumeration order, moment identities verified.
+
+    The walk to n closes each node with the top row that takes all the
+    boxes left, and puts its record straight into its reverse-lex slot.
+    The exact arithmetic runs as map passes over chunks of _CHUNK records:
+    the hook remainders, n! over the hook products and over the
+    centralizer orders, both logs, and the records, built by DimRecord.
+    Every slot must be filled exactly once.
 
     A bad n is refused before any walk; lru_cache keeps only successful
     returns, so a refused n leaves the cached level in place.  No command
@@ -191,49 +311,94 @@ def sweep(n: int) -> tuple[DimRecord, ...]:
     if n < 1:
         raise ValueError(f"n must be at least 1, got {n}")
     _check_cap(n, MAX_SWEEP_N, "n")
+    counts = _bounded_counts(n)
+    count = counts[n][n]
+    if count != partition_count(n):
+        raise IntegrityError(f"the bounded-part counts give {count} partitions of {n}, not p({n})")
+    # A node whose top row takes the rest w of the boxes lands at base + closing[w].
+    closing = [counts[n - w][w] + count - counts[n][w] for w in range(n + 1)]
     fact = factorial(n)
-    records = []
-
-    def finish(node):
-        # Lay the top row w = rest, which completes node to a partition of n.
-        parts, top, depth, w, hooks, central, run, segments = node
-        d, rem = divmod(fact, hooks * _top_row(w, top, depth, segments))
-        if rem:
-            raise IntegrityError(f"hook product does not divide n! for {[w, *parts]}")
-        c = fact // (central * w * (run + 1 if w == top else 1))
-        records.append(DimRecord(_trusted_partition((w, *parts)), d, c, 2.0 * ln_big(d), ln_big(c)))
-
-    # A node is a stack of rows, bottom-up, and the boxes left above it:
-    # (parts, top, depth, rest, hook product, centralizer order, run length
-    # of top, segments).  Each node is finished as soon as it is made, so
-    # its record never waits on the stack; a child goes there only if it
-    # can take another row below its top row.
-    root = ((), 0, 0, n, 1, 1, 0, ())
-    finish(root)
-    nodes = [root]
-    while nodes:
-        parts, top, depth, rest, hooks, central, run, segments = nodes.pop()
-        # Every next row v that leaves room for a top row of at least v.
-        for v in range(top or 1, rest // 2 + 1):
-            r = run + 1 if v == top else 1
-            child = (
-                (v, *parts), v, depth + 1, rest - v,
-                hooks * _top_row(v, top, depth, segments), central * v * r, r,
-                segments if v == top else (*segments, (top + depth + 1, v - top)),
-            )
-            finish(child)
-            # Its top row, rest - v, could split into a row of v and a top row of at least v.
-            if rest - v >= 2 * v:
-                nodes.append(child)
-    # The partitions are distinct tuples, so this is the enumeration's reverse-lex order.
-    records.sort(key=attrgetter("lam"), reverse=True)
-    dims = list(map(attrgetter("dim"), records))
-    sum_dim = sum(dims)
-    sum_dim_sq = sum(map(mul, dims, dims))
-    sum_class = sum(map(attrgetter("class_size"), records))
-    if sum_dim != involution_count(n) or sum_dim_sq != fact or sum_class != fact:
-        raise IntegrityError(f"moment identities failed at n={n}")
+    records = [None] * count
+    made = sum_dim = sum_dim_sq = sum_class = 0
+    nodes = _walk(n, counts)
+    while chunk := list(islice(nodes, _CHUNK)):
+        below, top, depth, rest, hooks, central, run, segments, base = zip(*chunk)
+        dims, classes = _close(fact, rest, below, top, depth, hooks, central, run, segments)
+        # _trusted_partition's tuple.__new__, called from map without a Python frame per record.
+        lams = list(map(tuple.__new__, repeat(Partition), map(add, zip(rest, top), below)))
+        if not top[0]:
+            # The empty node, first in the walk, has no top row to lay under rest.
+            lams[0] = _lam(n, (), 0)
+        recs = list(map(DimRecord, lams, dims, classes, map(mul, repeat(2.0), _ln_batch(dims)), _ln_batch(classes)))
+        try:
+            for slot, rec in zip(map(add, base, map(closing.__getitem__, rest)), recs):
+                records[slot] = rec
+        except IndexError:
+            raise IntegrityError(f"a rank slot fell outside the {count} partitions of {n}") from None
+        _, dims, classes, _, _ = zip(*recs)
+        made += len(recs)
+        sum_dim += sum(dims)
+        sum_dim_sq += sum(map(mul, dims, dims))
+        sum_class += sum(classes)
+    # made records in made slots, none left empty: each slot filled exactly once.
+    if made != count or not all(records):
+        raise IntegrityError(f"the rank slots of n={n} are not filled once each")
+    _check_level(n, made, sum_dim, sum_dim_sq, sum_class)
     return tuple(records)
+
+
+def level_maxima(nmax: int) -> list[tuple[int, list[Partition], int]]:
+    """(max dimension, partitions attaining it, p(n)) for each n = 1..nmax, from one walk.
+
+    The walk to nmax closes each node at every level where its top row
+    fits.  A chunk of nodes is sorted by the first such level, so the
+    nodes that close at a level are a prefix of it, closed in one batch.
+    Each level keeps only running sums, its count, its max and the
+    partitions attaining it, listed in reverse-lexicographic order as
+    max_dimension lists them from sweep(n); no level is materialized.  The
+    hook remainder of every partition, the moment identities and the count
+    p(n) of every level are verified.
+    """
+    if nmax < 1:
+        raise ValueError(f"nmax must be at least 1, got {nmax}")
+    _check_cap(nmax, MAX_SWEEP_N, "nmax")
+    size = nmax + 1
+    facts = list(map(factorial, range(size)))
+    tally = [0] * size
+    sum_dim = [0] * size
+    sum_dim_sq = [0] * size
+    sum_class = [0] * size
+    best = [0] * size
+    argmax: list[list[Partition]] = [[] for _ in range(size)]
+    nodes = _walk(nmax, _bounded_counts(nmax))
+    while chunk := list(islice(nodes, _CHUNK)):
+        # A node of nmax - rest boxes first closes at that plus max(top, 1).
+        firsts = [nmax - node[3] + (node[1] or 1) for node in chunk]
+        order = sorted(range(len(chunk)), key=firsts.__getitem__)
+        below, top, depth, rest, hooks, central, run, segments, _ = zip(*map(chunk.__getitem__, order))
+        firsts.sort()
+        for k in range(firsts[0], size):
+            # The first c nodes close at level k, with top rows k - (nmax - rest).
+            c = bisect_right(firsts, k)
+            ws = list(map(add, repeat(k - nmax), rest[:c]))
+            dims, classes = _close(
+                facts[k], ws, below[:c], top[:c], depth[:c], hooks[:c], central[:c], run[:c], segments[:c]
+            )
+            tally[k] += c
+            sum_dim[k] += sum(dims)
+            sum_dim_sq[k] += sum(map(mul, dims, dims))
+            sum_class[k] += sum(classes)
+            m = max(dims)
+            if m >= best[k]:
+                if m > best[k]:
+                    best[k] = m
+                    argmax[k] = []
+                for i in compress(range(c), map(eq, dims, repeat(m))):
+                    argmax[k].append(_lam(ws[i], below[i], top[i]))
+    for k in range(1, size):
+        _check_level(k, tally[k], sum_dim[k], sum_dim_sq[k], sum_class[k])
+        argmax[k].sort(reverse=True)
+    return [(best[k], argmax[k], tally[k]) for k in range(1, size)]
 
 
 def max_dimension(records) -> tuple[int, list[Partition]]:

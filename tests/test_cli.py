@@ -515,9 +515,21 @@ class TestOneReadPerLevel:
         monkeypatch.setattr(cli, "sweep", counting)
         return calls
 
-    def test_maxdim_reads_each_level_once(self, capsys, reads):
-        assert run_cli(capsys, "sym", "maxdim", "--nmax", "12")[0] == 0
-        assert reads == list(range(1, 13))
+    def test_maxdim_reads_no_sweep_level(self, capsys, reads):
+        # maxdim takes every level from one walk (symstats.level_maxima).
+        assert run_cli(capsys, "sym", "maxdim", "--nmax", "24")[0] == 0
+        assert reads == []
+        # The rows as they were built from a sweep of each level stay the oracle.
+        oracle = []
+        for n in range(1, 25):
+            level = symstats.sweep(n)
+            m, argmax = symstats.max_dimension(level)
+            mean_log = symstats.ln_big(symstats.involution_count(n)) - symstats.ln_big(len(level))
+            oracle.append((
+                n, m, ";".join(lam.serialize() for lam in argmax), symstats.vk_ratio(n, m), symstats.ln_big(m),
+                mean_log, symstats.log_mean_dimension_estimate(n),
+            ))
+        assert cli._maxdim_rows(argparse.Namespace(nmax=24)) == oracle
 
     def test_fraction_near_max_reads_one_level(self, reads):
         fraction_near_max(12, Fraction(1, 2))

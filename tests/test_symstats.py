@@ -36,6 +36,7 @@ from repstat.symstats import (
     interval_counts,
     involution_count,
     layer_sums,
+    level_maxima,
     ln_big,
     ln_fraction,
     log_mean_dimension_estimate,
@@ -256,8 +257,8 @@ class TestSweepKernel:
 
     @pytest.mark.parametrize("n", [30, 40])
     def test_sorted_walk_is_enumeration_order(self, n):
-        # The walk's leaves are sorted once; layer_sums' contiguous blocks
-        # rest on this being exactly enumerate_partitions' reverse-lex order.
+        # The walk places each record at its rank; layer_sums' contiguous
+        # blocks rest on this being exactly enumerate_partitions' reverse-lex order.
         recs = list(sweep(n))
         assert [rec.lam for rec in recs] == list(enumerate_partitions(n))
         assert {rec.lam.n for rec in recs} == {n}
@@ -323,6 +324,78 @@ class TestSweepIntegrity:
         assert "internal invariant violation: hook product does not divide n!" in first
         assert "internal invariant violation: moment identities failed at n=9" in second
 
+    def test_maxdim_hook_remainder(self, monkeypatch):
+        real = symstats._top_row
+        monkeypatch.setattr(symstats, "_top_row", lambda *row: real(*row) * 11)
+        with pytest.raises(IntegrityError, match=r"hook product does not divide n! for \[1\]"):
+            level_maxima(8)
+
+    def test_maxdim_involution_count(self, monkeypatch):
+        monkeypatch.setattr(symstats, "involution_count", lambda n: 0)
+        with pytest.raises(IntegrityError, match="moment identities failed at n=1$"):
+            level_maxima(8)
+
+    def test_maxdim_checks_survive_optimize_flag(self):
+        src = str(Path(repstat.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        code = (
+            "from repstat import cli, symstats\n"
+            "real = symstats._top_row\n"
+            "symstats._top_row = lambda *row: real(*row) * 11\n"
+            "print(cli.main(['sym', 'maxdim', '--nmax', '8']))\n"
+            "symstats._top_row = real\n"
+            "symstats.involution_count = lambda n: 0\n"
+            "print(cli.main(['sym', 'maxdim', '--nmax', '8']))\n"
+        )
+        out = subprocess.run([sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True)
+        assert out.stdout.split() == ["4", "4"], out.stderr
+        first, second = out.stderr.splitlines()
+        assert "internal invariant violation: hook product does not divide n!" in first
+        assert "internal invariant violation: moment identities failed at n=1" in second
+
+
+class TestRankSlots:
+    """sweep places each record by its reverse-lex rank, from bounded-part counts."""
+
+    def test_bounded_counts_match_enumeration(self):
+        table = symstats._bounded_counts(15)
+        for k in range(16):
+            lams = list(enumerate_partitions(k))
+            for j in range(16):
+                assert table[k][j] == sum(1 for lam in lams if not lam or lam[0] <= j), (k, j)
+
+    @pytest.mark.parametrize("k, j, message", [(8, 8, "bounded-part counts give 23 partitions"), (3, 2, "rank slot")])
+    def test_perturbed_counts_are_refused(self, monkeypatch, k, j, message):
+        real = symstats._bounded_counts
+
+        def perturbed(n):
+            table = real(n)
+            table[k][j] += 1
+            return table
+
+        monkeypatch.setattr(symstats, "_bounded_counts", perturbed)
+        sweep.cache_clear()
+        with pytest.raises(IntegrityError, match=message):
+            sweep(8)
+        sweep.cache_clear()
+
+
+class TestLnBatch:
+    """The batched logs of sweep are ln_big's floats, bit for bit."""
+
+    @staticmethod
+    def bits(floats):
+        return [x.hex() for x in floats]
+
+    def test_edge_values(self):
+        xs = [1, 2**53 - 1, 2**53, 2**53 + 1, 2**64 - 1, 2**64, 2**64 + 1, factorial(50), factorial(50) ** 2]
+        assert self.bits(symstats._ln_batch(xs)) == self.bits(map(ln_big, xs))
+
+    def test_every_value_of_a_sweep(self):
+        recs = sweep(30)
+        for xs in ([r.dim for r in recs], [r.class_size for r in recs]):
+            assert self.bits(symstats._ln_batch(xs)) == self.bits(map(ln_big, xs))
+
 
 def test_sweep_cache_holds_one_level():
     sweep.cache_clear()
@@ -340,6 +413,18 @@ class TestMaxDimension:
         m4, arg4 = max_dimension(sweep(4))
         assert m4 == 3
         assert sorted(a.parts for a in arg4) == [(2, 1, 1), (3, 1)]
+
+    def test_level_maxima_against_sweep(self):
+        # max_dimension over each whole level is the oracle for the one walk.
+        for n, (m, argmax, count) in enumerate(level_maxima(24), 1):
+            level = sweep(n)
+            assert (m, argmax) == max_dimension(level), n
+            assert count == len(level) == partition_count(n)
+
+    @pytest.mark.parametrize("nmax, error", [(0, ValueError), (MAX_SWEEP_N + 1, CapExceededError)])
+    def test_level_maxima_refuses_bad_nmax(self, nmax, error):
+        with pytest.raises(error):
+            level_maxima(nmax)
 
     def test_argmax_closed_under_conjugation(self):
         for n in range(1, 20):
