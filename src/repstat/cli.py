@@ -226,9 +226,8 @@ def _intervals_rows(a):
 
 
 def _maxdim_rows(a):
-    ns = _sized_range(a.nmax, MAX_SWEEP_N)
     rows = []
-    for n, (m, argmax, count) in zip(ns, level_maxima(a.nmax)):
+    for n, (m, argmax, count) in enumerate(level_maxima(a.nmax), 1):
         mean_log = ln_big(involution_count(n)) - ln_big(count)
         argmax = ";".join(lam.serialize() for lam in argmax)
         rows.append((n, m, argmax, vk_ratio(n, m), ln_big(m), mean_log, log_mean_dimension_estimate(n)))
@@ -448,27 +447,24 @@ def main(argv=None) -> int:
 
 
 def run() -> None:
-    """Console-script entry: run main, then exit with its code.
+    """Console-script entry: run main with the collector off, then end the process with its code.
 
-    The collector is off for the whole run.  main builds its rows from
-    acyclic tuples and lists, so the only cycles it leaves are the few
-    hundred objects of its argument parser (and of json's encoder for a
-    JSON meta block), the same for every table and left to the exit.
-    With the collector on, the growing level of a sweep (a tracked record
-    and partition per row) paid hundreds of collections that found
-    nothing to free.  Interpreter shutdown runs full collections over
-    every tracked object still alive, collector off or not, so the heap
-    is frozen once the output is written: those collections skip the
-    permanent generation, refcounting still frees its objects, and
-    stdout is still flushed at exit.  main itself touches neither, so
-    in-process callers keep their collector as they set it and every
-    object they hold in its reach.
+    main builds its rows from acyclic tuples and lists, so with the
+    collector on, the growing level of a sweep (a tracked record and
+    partition per row) paid hundreds of collections that found nothing to
+    free.  Once main returns, its table is written: stdout was flushed or
+    --out closed, and after a failed write fd 1 points at devnull.  So run
+    flushes stdout and stderr and leaves through os._exit, without the
+    interpreter's teardown and its collections over every table still
+    alive.  atexit handlers do not run in this process.  A help page
+    still leaves through argparse's SystemExit.  main itself neither
+    switches the collector nor exits, so in-process callers are unaffected.
     """
     gc.disable()
     code = main()
-    # Spare the exit a garbage walk over the tables main built.
-    gc.freeze()
-    sys.exit(code)
+    sys.stdout.flush()
+    sys.stderr.flush()
+    os._exit(code)
 
 
 if __name__ == "__main__":

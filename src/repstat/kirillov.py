@@ -32,6 +32,7 @@ searches, a sparse BFS over all p^dim states) are tests/kirillov_oracles.py.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import compress, product
 from typing import NamedTuple
 
@@ -151,7 +152,7 @@ def check_prime(alg: NilAlgebra, p: int) -> None:
     """
     if p > 1:
         _check_cap(p.bit_length(), MAX_PRIME_BITS, f"{alg.name} at p={p}: bits of p")
-        walk = sum((p - 1) ** len(free) for _, coords in _sides(alg) for _, free in _forests(alg, coords))
+        walk = sum((p - 1) ** len(free) for *_, forests in _sides(alg) for _, free in forests)
         _check_cap(walk, MAX_TORUS_REPRESENTATIVES, f"{alg.name} at p={p}: torus representatives")
     if not _is_prime(p):
         raise ValueError(f"p must be a prime, got {p}")
@@ -162,8 +163,9 @@ def check_prime(alg: NilAlgebra, p: int) -> None:
         )
 
 
+@lru_cache(maxsize=1)
 def _sides(alg: NilAlgebra):
-    """The (row, column, coordinate, sign) entries of B_f and of ad_X, each with the coordinates it reads.
+    """B_f's and ad_X's sides: each one's (row, column, coordinate, sign) entries, the coordinates it reads, its forests.
 
     B_f(x, y) = f([x, y]): each triple (a, b, k) of the bracket table sets
     B_f[a][b] = f_k and B_f[b][a] = -f_k, so B_f reads f on the derived
@@ -171,10 +173,17 @@ def _sides(alg: NilAlgebra):
     ad_X = [X, -], whose column b is sum_a X_a [e_a, e_b]: each triple adds
     X_a to ad_X[k][b] and -X_b to ad_X[k][a], so ad_X reads X modulo the
     centre, on the a's and b's.
+
+    Each side's forests are built once here, for check_prime's count and
+    for the walk alike; the cache keeps one algebra's sides, a report's.
     """
-    form = [e for a, b, k in alg.brackets for e in ((a, b, k, 1), (b, a, k, -1))]
-    ad = [e for a, b, k in alg.brackets for e in ((k, b, a, 1), (k, a, b, -1))]
-    return [(entries, sorted({e[2] for e in entries})) for entries in (form, ad)]
+    form = tuple(e for a, b, k in alg.brackets for e in ((a, b, k, 1), (b, a, k, -1)))
+    ad = tuple(e for a, b, k in alg.brackets for e in ((k, b, a, 1), (k, a, b, -1)))
+    sides = []
+    for entries in (form, ad):
+        coords = tuple(sorted({e[2] for e in entries}))
+        sides.append((entries, coords, tuple(_forests(alg, coords))))
+    return tuple(sides)
 
 
 def _forests(alg: NilAlgebra, coords):
@@ -186,17 +195,17 @@ def _forests(alg: NilAlgebra, coords):
             ci, cj = component[i], component[j]
             (free if ci == cj else forest).append(k)
             component = [cj if c == ci else c for c in component]
-        yield forest, free
+        yield tuple(forest), tuple(free)
 
 
-def _torus_representatives(alg: NilAlgebra, coords, p: int):
-    """One vector per diagonal-torus orbit on the vectors of F_p^dim supported on coords, with the orbit's size.
+def _torus_representatives(alg: NilAlgebra, forests, p: int):
+    """One vector per diagonal-torus orbit on the vectors of F_p^dim supported on a side's coordinates, with the orbit's size.
 
     diag(t) scales coordinate (i, j) by t_i / t_j.  Each torus orbit on a
     support has one vector with 1 on the support's forest, built as the walk
     reaches it, and (p - 1)^(forest edges) vectors; free entries run over F_p^*.
     """
-    for forest, free in _forests(alg, coords):
+    for forest, free in forests:
         vector = [int(k in forest) for k in range(alg.dim)]
         weight = (p - 1) ** len(forest)
         for values in product(range(1, p), repeat=len(free)):
@@ -231,9 +240,9 @@ def _rank_counts(alg: NilAlgebra, p: int) -> tuple[dict[int, int], dict[int, int
     """
     dim = alg.dim
     tallies: tuple[dict[int, int], dict[int, int]] = ({}, {})
-    for (entries, coords), counts in zip(_sides(alg), tallies):
+    for (entries, coords, forests), counts in zip(_sides(alg), tallies):
         unread = p ** (dim - len(coords))
-        for vector, weight in _torus_representatives(alg, coords, p):
+        for vector, weight in _torus_representatives(alg, forests, p):
             rows = [[0] * dim for _ in range(dim)]
             for r, s, k, c in entries:
                 rows[r][s] += c * vector[k]

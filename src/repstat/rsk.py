@@ -172,13 +172,17 @@ def sample_plancherel(
     """Draw `count` Plancherel samples of partitions of n.
 
     Yields (shape, ln Pl(shape)) with ln Pl = 2 ln dim - ln n!.  The stream
-    is a pure function of (n, seed, count prefix).  Raises CapExceededError
-    for n above MAX_PLANCHEREL_N or n * count above MAX_PLANCHEREL_CELLS.
+    is a pure function of (n, seed, count prefix).  Raises ValueError for a
+    seed outside 0 <= seed < 2^64, which substream would read modulo 2^64,
+    and CapExceededError for n above MAX_PLANCHEREL_N or n * count above
+    MAX_PLANCHEREL_CELLS.
     """
     if n < 1:
         raise ValueError(f"n must be at least 1, got {n}")
     if count < 1:
         raise ValueError(f"count must be at least 1, got {count}")
+    if not 0 <= seed <= _MASK64:
+        raise ValueError(f"seed must lie in 0..2^64 - 1, got {seed}")
     _check_cap(n, MAX_PLANCHEREL_N, "n")
     _check_cap(n * count, MAX_PLANCHEREL_CELLS, "n*count")
     log_fact = ln_big(factorial(n))

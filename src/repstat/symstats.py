@@ -33,8 +33,8 @@ against 6.6 s and 177 MB when it swept each level (Python 3.11, shared
 2-CPU host).  dimension walks a single partition with the same row step;
 class_size takes n! over the centralizer order straight from the
 multiplicities of the parts.  No command reads a level twice.  sweep
-still caches the last level, to hold it to the exit rather than free it
-in process (6-7 ms at n = 38; see sweep).
+caches the last level only so that it is never freed: the repstat
+process ends with os._exit and no teardown (see sweep).
 """
 
 from __future__ import annotations
@@ -302,11 +302,9 @@ def sweep(n: int) -> tuple[DimRecord, ...]:
 
     A bad n is refused before any walk; lru_cache keeps only successful
     returns, so a refused n leaves the cached level in place.  No command
-    reads a level twice; the cache stays to hold the last level to the
-    exit.  Freed in process, a level costs 6-7 ms at n = 38 and 1.5-2.4
-    ms at n = 34.  Without the cache, sym-tables wall_s was +3.7% in one
-    set of 10 alternating pairs at --seconds 30 (10 of 10 slower) and
-    -1.1% in another (6 of 10 slower), so measure before removing it.
+    reads a level twice: the cache holds the last level so that it is
+    never freed, since the repstat process ends with os._exit and a level
+    freed in process costs 6-7 ms at n = 38.
     """
     if n < 1:
         raise ValueError(f"n must be at least 1, got {n}")
@@ -354,10 +352,10 @@ def level_maxima(nmax: int) -> list[tuple[int, list[Partition], int]]:
     fits.  A chunk of nodes is sorted by the first such level, so the
     nodes that close at a level are a prefix of it, closed in one batch.
     Each level keeps only running sums, its count, its max and the
-    partitions attaining it, listed in reverse-lexicographic order as
-    max_dimension lists them from sweep(n); no level is materialized.  The
-    hook remainder of every partition, the moment identities and the count
-    p(n) of every level are verified.
+    partitions attaining it, listed in reverse-lexicographic order, the
+    order of sweep(n); no level is materialized.  The hook remainder of
+    every partition, the moment identities and the count p(n) of every
+    level are verified.
     """
     if nmax < 1:
         raise ValueError(f"nmax must be at least 1, got {nmax}")
@@ -399,23 +397,6 @@ def level_maxima(nmax: int) -> list[tuple[int, list[Partition], int]]:
         _check_level(k, tally[k], sum_dim[k], sum_dim_sq[k], sum_class[k])
         argmax[k].sort(reverse=True)
     return [(best[k], argmax[k], tally[k]) for k in range(1, size)]
-
-
-def max_dimension(records) -> tuple[int, list[Partition]]:
-    """Largest dimension in the level records = sweep(n) and every partition attaining it.
-
-    The attaining set is closed under conjugation since dim is invariant
-    under transposing the diagram.
-    """
-    best = 0
-    argmax: list[Partition] = []
-    for rec in records:
-        if rec.dim > best:
-            best = rec.dim
-            argmax = [rec.lam]
-        elif rec.dim == best:
-            argmax.append(rec.lam)
-    return best, argmax
 
 
 def plancherel_mass(lam: Partition) -> Fraction:
@@ -552,7 +533,7 @@ def fraction_near_max(n: int, threshold) -> tuple[Fraction, bool]:
     if not 0 < frac < 1:
         raise ValueError(f"threshold must lie strictly between 0 and 1, got {threshold}")
     records = sweep(n)
-    m, _ = max_dimension(records)
+    m = max(rec.dim for rec in records)
     near = sum(1 for rec in records if rec.dim * frac.denominator >= frac.numerator * m)
     c = Fraction(near, len(records))
     bound_ok = 2.0 * ln_fraction(frac * c) <= -0.9 * angle_decay_constant() * math.sqrt(n)

@@ -32,6 +32,7 @@ from repstat.rsk import MAX_PLANCHEREL_CELLS, MAX_PLANCHEREL_N
 from repstat.symstats import MAX_HIST_BINS, MAX_SWEEP_N, fraction_near_max
 
 from golden import GOLDEN, PARITY, eager_parser, run_with
+from sym_oracles import max_dimension
 
 
 def run_cli(capsys, *argv):
@@ -61,7 +62,7 @@ def sweep_child(stdout, n=26):
     """``repstat sym sweep --n N`` in a fresh interpreter; at n = 26 it prints 205 KB, more than a pipe buffer holds.
 
     Stdout keeps its default buffering, so text the failed write leaves in
-    the buffer would meet the interpreter's flush at exit.
+    the buffer meets run's flush before it exits.
     """
     return subprocess.Popen(
         [sys.executable, "-m", "repstat.cli", "sym", "sweep", "--n", str(n)],
@@ -69,10 +70,14 @@ def sweep_child(stdout, n=26):
     )
 
 
-def console_script(*argv):
-    """Run ``repstat ARGV`` through run(), as the console script does, in a fresh interpreter."""
+def console_script(*argv, setup=""):
+    """Run ``repstat ARGV`` through run(), as the console script does, in a fresh interpreter.
+
+    setup is run first, with gc, atexit, repstat.cli and repstat.symstats imported.
+    """
+    code = f"import atexit, gc\nfrom repstat import cli, symstats\n{setup}\ncli.run()\n"
     return subprocess.run(
-        [sys.executable, "-c", "import repstat.cli; repstat.cli.run()", *argv],
+        [sys.executable, "-c", code, *argv],
         capture_output=True, text=True, env=child_env(), timeout=60,
     )
 
@@ -230,7 +235,7 @@ PLANCHEREL_CAPS = [(10**9, 1), (MAX_PLANCHEREL_N + 1, 1), (1000, MAX_PLANCHEREL_
 
 def _walk_length(alg, p):
     """Torus representatives of both rank walks, as check_prime counts them."""
-    return sum((p - 1) ** len(free) for _, coords in _sides(alg) for _, free in _forests(alg, coords))
+    return sum((p - 1) ** len(free) for _, coords, _ in _sides(alg) for _, free in _forests(alg, coords))
 
 
 def _first_refused_prime(start, refused, bound=1_000):
@@ -348,6 +353,17 @@ class TestExitCodes:
         code, out, err = run_cli(capsys, "sym", "plancherel", "--n", str(n), "--count", str(count), "--seed", "1")
         assert code == 3 and out == "" and "exceeds the cap" in err
         assert time.monotonic() - start < 1.0
+
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_plancherel_seed_outside_64_bits_is_exit_2(self, capsys, seed):
+        # Read modulo 2^64, -1 and 2^64 would print the rows of seeds 2^64 - 1 and 0.
+        code, out, err = run_cli(capsys, "sym", "plancherel", "--n", "5", "--count", "3", "--seed", str(seed))
+        assert (code, out) == (2, "")
+        assert err == f"repstat: invalid request: seed must lie in 0..2^64 - 1, got {seed}\n"
+
+    def test_plancherel_largest_seed_runs(self, capsys):
+        code, out, _ = run_cli(capsys, "sym", "plancherel", "--n", "5", "--count", "3", "--seed", str(2**64 - 1))
+        assert code == 0 and len(parse_csv(out)[1]) == 3
 
     @pytest.mark.parametrize(
         "argv",
@@ -523,7 +539,7 @@ class TestOneReadPerLevel:
         oracle = []
         for n in range(1, 25):
             level = symstats.sweep(n)
-            m, argmax = symstats.max_dimension(level)
+            m, argmax = max_dimension(level)
             mean_log = symstats.ln_big(symstats.involution_count(n)) - symstats.ln_big(len(level))
             oracle.append((
                 n, m, ";".join(lam.serialize() for lam in argmax), symstats.vk_ratio(n, m), symstats.ln_big(m),
@@ -707,9 +723,10 @@ def _rows(argv):
 
 
 class TestConsoleScript:
-    """run(), the ``repstat`` entry, runs main with the collector off and freezes the heap after it.
+    """run(), the ``repstat`` entry, runs main with the collector off and ends the process with os._exit.
 
-    main touches neither the collector's switch nor its freeze.
+    run ends the process, so it is tested in a child; main touches neither
+    the collector's switch nor the heap's freeze.
     """
 
     def test_main_does_not_freeze(self, capsys):
@@ -727,30 +744,38 @@ class TestConsoleScript:
             gc.enable()
         assert codes == [0, 3] and after is enabled
 
-    @pytest.mark.parametrize("argv, code", [(("--n", "20"), 0), (("--n", "51"), 3)])
-    def test_run_freezes_and_exits_with_main_code(self, monkeypatch, argv, code):
-        monkeypatch.setattr(sys, "argv", ["repstat", "sym", "sweep", *argv])
-        try:
-            with pytest.raises(SystemExit) as exc:
-                cli.run()
-            frozen = gc.get_freeze_count()
-            enabled = gc.isenabled()
-        finally:
-            # Later tests must not run with the collector off or the heap frozen.
-            gc.enable()
-            gc.unfreeze()
-        assert exc.value.code == code and frozen > 0 and not enabled
+    @pytest.mark.parametrize(
+        "argv, setup, code",
+        [
+            (("--n", "20"), "", 0),
+            (("--n", "0"), "", 2),
+            (("--n", "51"), "", 3),
+            # Every row step times 11, a prime that does not divide 8!.
+            (("--n", "8"), "real = symstats._top_row\nsymstats._top_row = lambda *row: real(*row) * 11", 4),
+        ],
+        ids=["0", "2", "3", "4"],
+    )
+    def test_run_exits_with_main_code(self, argv, setup, code):
+        proc = console_script("sym", "sweep", *argv, setup=setup)
+        assert proc.returncode == code, proc.stderr
+        if code == 4:
+            assert proc.stdout == ""
+            assert proc.stderr.startswith("repstat: internal invariant violation: hook product does not divide n!")
 
-    def test_run_disables_the_collector_before_main(self, monkeypatch):
-        seen = []
-        monkeypatch.setattr(cli, "main", lambda: seen.append(gc.isenabled()) or 0)
-        try:
-            with pytest.raises(SystemExit) as exc:
-                cli.run()
-        finally:
-            gc.enable()
-            gc.unfreeze()
-        assert exc.value.code == 0 and seen == [False]
+    def test_run_disables_the_collector_before_main(self):
+        # The patched main's line reaches the pipe through run's flush alone.
+        proc = console_script(setup="cli.main = lambda: print(gc.isenabled()) or 0")
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "False\n", "")
+
+    def test_run_skips_atexit_handlers(self, capsys):
+        proc = console_script("sym", "sweep", "--n", "5", setup="atexit.register(print, 'atexit ran')")
+        assert (proc.returncode, proc.stdout, proc.stderr) == run_cli(capsys, "sym", "sweep", "--n", "5")
+
+    def test_run_help_exits_zero_with_the_help_text(self, monkeypatch):
+        # argparse wraps help to COLUMNS, which the child inherits.
+        monkeypatch.setenv("COLUMNS", "80")
+        proc = console_script("-h")
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, cli.build_parser().format_help(), "")
 
     @pytest.mark.parametrize(
         "argv, code",

@@ -63,8 +63,8 @@ class TestAlgebras:
     def test_sides_read_the_derived_and_the_non_central_coordinates(self):
         # heis3: E13 spans [n, n] and z(n).  ut4: [n, n] is E13, E14, E24
         # and z(n) is E14 alone, at positions 12, 13, 14, 23, 24, 34.
-        assert [coords for _, coords in _sides(HEIS3)] == [[1], [0, 2]]
-        assert [coords for _, coords in _sides(UT4)] == [[1, 2, 4], [0, 1, 3, 4, 5]]
+        assert [coords for _, coords, _ in _sides(HEIS3)] == [(1,), (0, 2)]
+        assert [coords for _, coords, _ in _sides(UT4)] == [(1, 2, 4), (0, 1, 3, 4, 5)]
         for alg in (HEIS3, UT4, UT5):
             assert len(_sides(alg)[0][1]) == alg.derived_dim
 
@@ -80,7 +80,7 @@ class TestAlgebras:
             derived_dim,
             comb(m, 3),
         )
-        assert [len(coords) for _, coords in _sides(alg)] == [derived_dim, dim - 1]
+        assert [len(coords) for _, coords, _ in _sides(alg)] == [derived_dim, dim - 1]
 
     def test_heis3_bracket(self):
         # [E12, E23] = E13 is the only nonzero basis bracket.
@@ -223,7 +223,7 @@ class TestAgainstOracle:
 
 def _side_lengths(alg, p):
     """Each side's walk length as check_prime counts it: the sum over supports of (p - 1)^|free|."""
-    return [sum((p - 1) ** len(free) for _, free in _forests(alg, coords)) for _, coords in _sides(alg)]
+    return [sum((p - 1) ** len(free) for _, free in _forests(alg, coords)) for _, coords, _ in _sides(alg)]
 
 
 def _walk_length(alg, p):
@@ -304,7 +304,7 @@ class TestGuards:
 class TestTorusRepresentatives:
     @pytest.mark.parametrize("alg, p", [(alg, p) for alg in (HEIS3, UT4) for p in (2, 3, 5, 7, 11)])
     def test_cap_counts_the_walk(self, alg, p):
-        walked = [sum(1 for _ in _torus_representatives(alg, coords, p)) for _, coords in _sides(alg)]
+        walked = [sum(1 for _ in _torus_representatives(alg, forests, p)) for *_, forests in _sides(alg)]
         assert _side_lengths(alg, p) == walked
 
     @pytest.mark.parametrize("alg, p", [(HEIS3, 5), (HEIS3, 7), (UT4, 5)], ids=_case_id)
@@ -312,9 +312,9 @@ class TestTorusRepresentatives:
         # diag(t) scales coordinate (i, j) by t_i / t_j; fixing the last
         # t at 1 loses nothing, as scalars act trivially.
         torus = [(*t, 1) for t in product(range(1, p), repeat=alg.matrix_size - 1)]
-        for _, coords in _sides(alg):
+        for _, coords, forests in _sides(alg):
             seen = set()
-            for vector, weight in _torus_representatives(alg, coords, p):
+            for vector, weight in _torus_representatives(alg, forests, p):
                 assert all(vector[k] == 0 for k in range(alg.dim) if k not in coords)
                 orbit = {
                     tuple(x * t[i] * pow(t[j], -1, p) % p for x, (i, j) in zip(vector, alg.positions)) for t in torus
@@ -355,9 +355,9 @@ class TestRankIntegrity:
         # heis3 at p = 5: the form side drops 5^2 functionals, the class side 5^1 matrices.
         for side, total in ((0, 100), (1, 120)):
 
-            def drop_zero_vector(alg, coords, p):
-                reps = real(alg, coords, p)
-                if coords == _sides(alg)[side][1]:
+            def drop_zero_vector(alg, forests, p):
+                reps = real(alg, forests, p)
+                if forests == _sides(alg)[side][2]:
                     next(reps)
                 yield from reps
 
@@ -453,13 +453,29 @@ class TestReport:
         calls = []
         real = kirillov._torus_representatives
 
-        def counted(alg, coords, p):
-            calls.append((alg.name, coords, p))
-            return real(alg, coords, p)
+        def counted(alg, forests, p):
+            calls.append((alg.name, forests, p))
+            return real(alg, forests, p)
 
         monkeypatch.setattr(kirillov, "_torus_representatives", counted)
         kirillov_report(UT4, 5)
-        assert calls == [("ut4", [1, 2, 4], 5), ("ut4", [0, 1, 3, 4, 5], 5)]
+        assert calls == [("ut4", forests, 5) for *_, forests in _sides(UT4)]
+        # The last support of each side is all of its coordinates: the derived ones, then the non-central ones.
+        assert [sorted(sum(forests[-1], ())) for _, forests, _ in calls] == [[1, 2, 4], [0, 1, 3, 4, 5]]
+
+    def test_builds_each_side_forests_once(self, monkeypatch):
+        # check_prime's count and the walk share one build per side.
+        calls = []
+        real = kirillov._forests
+
+        def counted(alg, coords):
+            calls.append(coords)
+            return real(alg, coords)
+
+        monkeypatch.setattr(kirillov, "_forests", counted)
+        kirillov._sides.cache_clear()
+        kirillov_report(UT5, 7)
+        assert calls == [coords for _, coords, _ in _sides(UT5)] and len(calls) == 2
 
     @pytest.mark.parametrize(
         "alg, p, walked",
@@ -470,9 +486,9 @@ class TestReport:
         count = 0
         real = kirillov._torus_representatives
 
-        def counted(alg, coords, p):
+        def counted(alg, forests, p):
             nonlocal count
-            for rep in real(alg, coords, p):
+            for rep in real(alg, forests, p):
                 count += 1
                 yield rep
 

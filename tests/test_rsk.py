@@ -270,3 +270,15 @@ class TestSampler:
             list(sample_plancherel(0, 1, 1))
         with pytest.raises(ValueError):
             list(sample_plancherel(3, 1, 0))
+
+    @pytest.mark.parametrize("seed", [-1, TWO64, -TWO64, TWO64 + 7])
+    def test_seed_outside_64_bits_rejected(self, seed):
+        # substream reads its seed modulo 2^64, so -1 would alias 2^64 - 1 and 2^64 would alias 0.
+        with pytest.raises(ValueError, match=f"seed must lie in 0..2\\^64 - 1, got {seed}$"):
+            next(sample_plancherel(3, seed, 1))
+
+    @pytest.mark.parametrize("seed", [0, TWO64 - 1])
+    def test_seed_range_ends_are_admitted(self, seed):
+        shapes = [s.parts for s, _ in sample_plancherel(9, seed, 5)]
+        expected = [rsk_shape(random_permutation(9, substream(seed, k))).parts for k in range(5)]
+        assert shapes == expected

@@ -40,11 +40,12 @@ from repstat.symstats import (
     ln_big,
     ln_fraction,
     log_mean_dimension_estimate,
-    max_dimension,
     plancherel_mass,
     sweep,
     vk_ratio,
 )
+
+from sym_oracles import max_dimension
 
 
 @lru_cache(maxsize=None)
