@@ -6,12 +6,11 @@ violation.  Identical invocations produce byte-identical output;
 figure-style data is emitted as tables, plotting is left to other tools.
 
 Every command is one entry of ``_COMMANDS``: its path, help, flags, columns
-and a row builder.  ``build_parser`` turns the table into argparse
-subcommands, each parser filled as argparse first hands it arguments: the
-top parser adds the topics when it starts to parse, a topic its commands
-when the argv names it, a command its flags, so one call builds only the
-parsers on its own path (4 for ``kirillov``, 10 for a ``gl`` and 11 for a
-``sym`` command, against 17 for all).  ``main`` builds a command's rows in full
+and a row builder.  An argv that starts with a command's path goes straight
+to one parser holding that command's flags; any other argv, a help page or
+a usage error such as no command at all, goes to ``build_parser``'s tree of
+every topic, command and flag, so that argparse answers it as it always
+has.  ``main`` builds a command's rows in full
 before it writes anything, so a refusal (exit 2, 3 or 4) writes nothing and
 opens no ``--out`` file.  Then ``_emit`` renders the rows as CSV or JSON
 text one row at a time, and ``main`` writes the text as it comes,
@@ -41,7 +40,6 @@ import gc
 import os
 import re
 import sys
-from functools import partial
 from itertools import chain, islice
 from typing import Callable, NamedTuple
 
@@ -338,34 +336,7 @@ _COMMANDS = (
 
 
 class _Parser(argparse.ArgumentParser):
-    """An argument parser that adds its contents just before it first parses.
-
-    ``fill(parser)`` adds this parser's subparsers or flags.  argparse hands
-    a subparser its arguments through ``parse_known_args`` (3.10 to 3.13),
-    so only the parsers on the path of one argv are ever filled.  Help and
-    usage text asked for directly fill the parser first as well.
-    """
-
-    def __init__(self, *args, fill=None, **kwargs):
-        super().__init__(*args, **kwargs)
-        self._fill = fill
-
-    def _fill_once(self):
-        if self._fill is not None:
-            fill, self._fill = self._fill, None
-            fill(self)
-
-    def parse_known_args(self, args=None, namespace=None):
-        self._fill_once()
-        return super().parse_known_args(args, namespace)
-
-    def format_usage(self):
-        self._fill_once()
-        return super().format_usage()
-
-    def format_help(self):
-        self._fill_once()
-        return super().format_help()
+    """An argument parser whose usage errors raise _UsageError, for main to report with exit code 2."""
 
     def error(self, message):
         raise _UsageError(message)
@@ -376,25 +347,17 @@ class _UsageError(Exception):
 
 
 def build_parser() -> _Parser:
-    return _Parser(prog="repstat", description="Exact dimension statistics of finite groups", fill=_add_topics)
-
-
-def _add_topics(parser: _Parser) -> None:
-    """The topics and top-level commands, in the order of ``_COMMANDS``."""
+    """Every topic, command and flag, in the order of ``_COMMANDS``: the parser of an argv that names no command."""
+    parser = _Parser(prog="repstat", description="Exact dimension statistics of finite groups")
     topics = parser.add_subparsers(dest="topic", required=True)
+    commands = {}
     for cmd in _COMMANDS:
-        if len(cmd.path) == 1:
-            topics.add_parser(cmd.path[0], help=cmd.help, fill=partial(_add_flags, cmd=cmd))
-        elif cmd.path[0] not in topics.choices:
-            topic = cmd.path[0]
-            topics.add_parser(topic, help=_TOPICS[topic], fill=partial(_add_commands, topic=topic))
-
-
-def _add_commands(parser: _Parser, topic: str) -> None:
-    commands = parser.add_subparsers(dest="command", required=True)
-    for cmd in _COMMANDS:
-        if cmd.path[:-1] == (topic,):
-            commands.add_parser(cmd.path[-1], help=cmd.help, fill=partial(_add_flags, cmd=cmd))
+        *topic, name = cmd.path
+        if topic and topic[0] not in commands:
+            group = topics.add_parser(topic[0], help=_TOPICS[topic[0]])
+            commands[topic[0]] = group.add_subparsers(dest="command", required=True)
+        _add_flags((commands[topic[0]] if topic else topics).add_parser(name, help=cmd.help), cmd)
+    return parser
 
 
 def _add_flags(parser: _Parser, cmd: _Command) -> None:
@@ -405,11 +368,20 @@ def _add_flags(parser: _Parser, cmd: _Command) -> None:
     parser.set_defaults(cmd=cmd)
 
 
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """argv parsed by the one parser of the command whose path it starts with, or by the whole tree."""
+    for cmd in _COMMANDS:
+        if tuple(argv[: len(cmd.path)]) == cmd.path:
+            parser = _Parser(prog=" ".join(("repstat", *cmd.path)))
+            _add_flags(parser, cmd)
+            return parser.parse_args(argv[len(cmd.path):])
+    return build_parser().parse_args(argv)
+
+
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parse(argv)
         args.invocation = argv
         rows = args.cmd.rows(args)
     except _UsageError as exc:

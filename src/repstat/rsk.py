@@ -175,7 +175,8 @@ def sample_plancherel(
     is a pure function of (n, seed, count prefix).  Raises ValueError for a
     seed outside 0 <= seed < 2^64, which substream would read modulo 2^64,
     and CapExceededError for n above MAX_PLANCHEREL_N or n * count above
-    MAX_PLANCHEREL_CELLS.
+    MAX_PLANCHEREL_CELLS.  This is a generator function, so these refusals
+    raise at the first ``next()``, not at the call.
     """
     if n < 1:
         raise ValueError(f"n must be at least 1, got {n}")

@@ -2,11 +2,12 @@
 
 ``GOLDEN`` lists one small invocation of every command with the SHA-256 of
 its stdout in CSV and in JSON.  ``PARITY`` lists help, usage-error and
-valid argvs that the CLI, whose parsers fill themselves as argparse hands
-them arguments, must answer as ``eager_parser`` (every parser and flag
-built up front) does: same exit code, stdout and stderr.
-``tests/test_cli.py`` checks both in process; run this file under any
-supported Python to replay them there, argparse's dispatch included:
+valid argvs that the CLI, which sends a command's argv straight to that
+command's own parser, must answer as ``eager_parser`` (one tree of every
+parser and flag, through which argparse dispatches each argv) does: same
+exit code, stdout and stderr.  ``tests/test_cli.py`` checks both in
+process; run this file under any supported Python to replay them there,
+argparse's dispatch included:
 
     PYTHONPATH=src python3.13 tests/golden.py
 
@@ -74,7 +75,7 @@ GOLDEN = [
 
 
 def eager_parser():
-    """The CLI's parser as it was built before parsers were filled on dispatch: all 17 parsers, every flag."""
+    """The CLI's parser as it was built before argvs were sent to their command's parser: all 17 parsers, every flag."""
     parser = cli._Parser(prog="repstat", description="Exact dimension statistics of finite groups")
     topics = parser.add_subparsers(dest="topic", required=True)
     groups = {}
@@ -92,6 +93,11 @@ def eager_parser():
     return parser
 
 
+def eager_parse(argv):
+    """argv parsed by the eager parser, in the place of the CLI's parse step."""
+    return eager_parser().parse_args(argv)
+
+
 # Help pages, usage errors (argparse's dispatch order decides which error
 # an argv meets first) and one valid argv per command.
 PARITY = [
@@ -101,15 +107,20 @@ PARITY = [
     ["--foo", "sym", "sweep", "--n", "3"], ["--", "sym", "sweep"], ["sym", "sweep", "--", "--n", "3"],
     ["sym", "sweep"], ["sym", "sweep", "--n", "x"], ["kirillov", "--alg", "nope", "--p", "3"],
     ["gl", "ratio", "--nmax", "3", "--q", "2", "--format", "xml"], ["sym", "hist", "--n", "5", "--bins"],
+    # Inline values, abbreviations, help among flags, "--" and a stray path word after a command's path.
+    ["sym", "sweep", "--n=3"], ["sym", "sweep", "--n", "3", "--fo", "json"], ["sym", "sweep", "-h", "--n", "3"],
+    ["sym", "sweep", "--n", "3", "--", "x"], ["sym", "sweep", "--n", "3", "sym"],
+    ["kirillov", "--alg", "ut4", "--p", "5", "--", "--format", "json"], ["gl", "census", "--q", "3", "--format=json"],
+    ["gl", "ratio", "--nmax", "3", "--q", "2", "--", "--q", "3"],
     *(next(argv.split() for argv, *_ in GOLDEN if tuple(argv.split()[: len(cmd.path)]) == cmd.path)
       for cmd in cli._COMMANDS),
 ]
 
 
-def run_with(parser_factory, argv) -> tuple[int, str, str]:
-    """main(argv) with cli.build_parser swapped for parser_factory: exit code, stdout and stderr."""
+def run_with(parse, argv) -> tuple[int, str, str]:
+    """main(argv) with the CLI's parse step cli._parse swapped for parse: exit code, stdout and stderr."""
     out, err = io.StringIO(), io.StringIO()
-    real, cli.build_parser = cli.build_parser, parser_factory
+    real, cli._parse = cli._parse, parse
     try:
         with redirect_stdout(out), redirect_stderr(err):
             try:
@@ -117,14 +128,14 @@ def run_with(parser_factory, argv) -> tuple[int, str, str]:
             except SystemExit as exc:  # argparse exits after a help page
                 code = exc.code
     finally:
-        cli.build_parser = real
+        cli._parse = real
     return code, out.getvalue(), err.getvalue()
 
 
 def replay_parity() -> list[str]:
     """Every PARITY argv through the CLI's parser and the eager one; the argvs whose answers differ."""
     return [f"{' '.join(argv)!r}: differs from the eager parser" for argv in PARITY
-            if run_with(cli.build_parser, argv) != run_with(eager_parser, argv)]
+            if run_with(cli._parse, argv) != run_with(eager_parse, argv)]
 
 
 def replay() -> list[str]:

@@ -31,7 +31,7 @@ from repstat.qseries import (
 from repstat.rsk import MAX_PLANCHEREL_CELLS, MAX_PLANCHEREL_N
 from repstat.symstats import MAX_HIST_BINS, MAX_SWEEP_N, fraction_near_max
 
-from golden import GOLDEN, PARITY, eager_parser, run_with
+from golden import GOLDEN, PARITY, eager_parse, eager_parser, run_with
 from sym_oracles import max_dimension
 
 
@@ -627,20 +627,19 @@ class TestGolden:
 
 
 class TestParser:
-    """build_parser fills each parser as argparse hands it arguments, and answers as the eager parser did."""
+    """A command's argv goes to that command's parser alone, any other to the whole tree, and both answer as the eager parser."""
 
     @pytest.mark.parametrize("argv", PARITY, ids=[" ".join(argv) or "(none)" for argv in PARITY])
     def test_matches_the_eager_parser(self, argv):
-        assert run_with(cli.build_parser, argv) == run_with(eager_parser, argv)
+        assert run_with(cli._parse, argv) == run_with(eager_parse, argv)
 
     def test_help_text_without_parsing(self):
-        # A parser asked for its help before it parses fills itself first.
         for text in ("format_help", "format_usage"):
             assert getattr(cli.build_parser(), text)() == getattr(eager_parser(), text)()
 
     @staticmethod
-    def built(monkeypatch, capsys, factory, argv):
-        """The progs of the parsers that one main(argv) makes, and (prog, flag) for each flag it adds past -h."""
+    def built(monkeypatch, capsys, argv):
+        """main(argv)'s exit code, the progs of the parsers it makes, and (prog, flag) for each flag it adds past -h."""
         parsers, flags = [], []
         init, add = cli._Parser.__init__, cli._Parser.add_argument
 
@@ -655,29 +654,21 @@ class TestParser:
 
         monkeypatch.setattr(cli._Parser, "__init__", counting_init)
         monkeypatch.setattr(cli._Parser, "add_argument", counting_add)
-        monkeypatch.setattr(cli, "build_parser", factory)
-        assert run_cli(capsys, *argv)[0] == 0
-        return parsers, flags
+        return run_cli(capsys, *argv)[0], parsers, flags
 
-    def test_kirillov_builds_its_own_path(self, monkeypatch, capsys):
-        parsers, flags = self.built(monkeypatch, capsys, cli.build_parser, ["kirillov", "--alg", "ut4", "--p", "5"])
-        assert parsers == ["repstat", "repstat sym", "repstat gl", "repstat kirillov"]
-        assert flags == [("repstat kirillov", f) for f in ("--alg", "--p", "--format", "--out")]
+    @pytest.mark.parametrize("cmd", cli._COMMANDS, ids=[" ".join(c.path) for c in cli._COMMANDS])
+    def test_command_builds_only_its_parser(self, monkeypatch, capsys, cmd):
+        argv = next(a.split() for a, *_ in GOLDEN if tuple(a.split()[: len(cmd.path)]) == cmd.path)
+        code, parsers, flags = self.built(monkeypatch, capsys, argv)
+        prog = " ".join(("repstat", *cmd.path))
+        assert (code, parsers) == (0, [prog])
+        assert flags == [(prog, f) for f in (*cmd.args, "--format", "--out")]
 
-    def test_gl_command_builds_its_topic(self, monkeypatch, capsys):
-        parsers, flags = self.built(monkeypatch, capsys, cli.build_parser, ["gl", "census", "--q", "3"])
-        # The top parser, 3 topics and kirillov, then gl's 6 commands.
-        assert parsers[4:] == [f"repstat gl {c.path[1]}" for c in cli._COMMANDS if c.path[0] == "gl"]
-        assert len(parsers) == 10
-        assert flags == [("repstat gl census", f) for f in ("--q", "--format", "--out")]
-
-    def test_sym_command_builds_its_topic(self, monkeypatch, capsys):
-        parsers, flags = self.built(monkeypatch, capsys, cli.build_parser, ["sym", "layers", "--n", "4"])
-        assert len(parsers) == 11 and flags == [("repstat sym layers", f) for f in ("--n", "--format", "--out")]
-
-    def test_eager_parser_builds_every_parser(self, monkeypatch, capsys):
-        parsers, flags = self.built(monkeypatch, capsys, eager_parser, ["kirillov", "--alg", "ut4", "--p", "5"])
-        assert len(parsers) == 17 and len(flags) == sum(len(c.args) + 2 for c in cli._COMMANDS)
+    @pytest.mark.parametrize("argv", [[], ["sym"], ["foo"]], ids=["(none)", "sym", "foo"])
+    def test_argv_naming_no_command_builds_the_tree(self, monkeypatch, capsys, argv):
+        code, parsers, flags = self.built(monkeypatch, capsys, argv)
+        assert code == 2 and len(parsers) == 17
+        assert len(flags) == sum(len(c.args) + 2 for c in cli._COMMANDS)
 
 
 # One value of every type the cell tables hold: floats at the edges of
@@ -718,7 +709,7 @@ CELLS_JSON_ROW = """{
 
 
 def _rows(argv):
-    args = cli.build_parser().parse_args(argv)
+    args = cli._parse(argv)
     return args.cmd.rows(args)
 
 
@@ -772,10 +763,14 @@ class TestConsoleScript:
         assert (proc.returncode, proc.stdout, proc.stderr) == run_cli(capsys, "sym", "sweep", "--n", "5")
 
     def test_run_help_exits_zero_with_the_help_text(self, monkeypatch):
-        # argparse wraps help to COLUMNS, which the child inherits.
+        # argparse wraps help to COLUMNS, which the child inherits.  The
+        # tree answers -h and sym -h, and a command's own parser sym sweep -h.
         monkeypatch.setenv("COLUMNS", "80")
-        proc = console_script("-h")
-        assert (proc.returncode, proc.stdout, proc.stderr) == (0, cli.build_parser().format_help(), "")
+        for argv in (["-h"], ["sym", "-h"], ["sym", "sweep", "-h"]):
+            proc = console_script(*argv)
+            expected = run_with(eager_parse, argv)
+            assert expected[0] == 0 and expected[1].startswith("usage: repstat")
+            assert (proc.returncode, proc.stdout, proc.stderr) == expected
 
     @pytest.mark.parametrize(
         "argv, code",
@@ -916,7 +911,7 @@ class TestEmitMemory:
         # n = 30 table (0.5 MB of CSV, 1.1 MB of JSON) peaks near 2 KB and
         # 5 KB, under a bound that does not grow with the table.
         argv = ["sym", "sweep", "--n", "30", "--format", fmt]
-        args = cli.build_parser().parse_args(argv)
+        args = cli._parse(argv)
         args.invocation = argv
         rows = args.cmd.rows(args)  # builds and caches the level
         sink = collections.deque(maxlen=0)
