@@ -5,7 +5,8 @@ GL_n over finite fields (class-count and degree-sum polynomials), and
 small unitriangular groups (coadjoint orbits), all in exact arithmetic.
 Library names are imported from their modules (``repstat.partitions``,
 ``repstat.symstats``, ``repstat.rsk``, ``repstat.qseries``,
-``repstat.kirillov``); the package itself holds only ``__version__``.
+``repstat.kirillov``, and ``repstat.errors`` for the errors they raise);
+the package itself holds only ``__version__``.
 """
 
 __version__ = "0.1.0"

@@ -6,11 +6,16 @@ violation.  Identical invocations produce byte-identical output;
 figure-style data is emitted as tables, plotting is left to other tools.
 
 Every command is one entry of ``_COMMANDS``: its path, help, flags, columns
-and a row builder.  An argv that starts with a command's path goes straight
-to one parser holding that command's flags; any other argv, a help page or
-a usage error such as no command at all, goes to ``build_parser``'s tree of
-every topic, command and flag, so that argparse answers it as it always
-has.  ``main`` builds a command's rows in full
+and a row builder.  Start-up is most of a small table's time, so
+``import repstat.cli`` loads only ``errors``, ``partitions`` and ``qseries``
+(whose partitions and polynomials are cells), and each row builder imports
+the library names it calls when it runs.  An argv that is a command's path
+followed by distinct ``--flag value`` pairs is parsed from that command's
+entry by ``_parse_plain``, without argparse; any other argv (a help page,
+a usage error, ``--flag=value``, an abbreviation, a repeated flag, a
+negative value, ...) goes to ``build_parser``'s tree of every topic,
+command and flag, the only code that imports argparse, so that argparse
+answers it as it always has.  ``main`` builds a command's rows in full
 before it writes anything, so a refusal (exit 2, 3 or 4) writes nothing and
 opens no ``--out`` file.  Then ``_emit`` renders the rows as CSV or JSON
 text one row at a time, and ``main`` writes the text as it comes,
@@ -34,27 +39,20 @@ bytes.
 
 from __future__ import annotations
 
-import argparse
 import contextlib
 import gc
 import os
 import re
 import sys
+from functools import cache
 from itertools import chain, islice
+from types import SimpleNamespace
 from typing import Callable, NamedTuple
 
 from . import __version__
-from .kirillov import ALGEBRAS, kirillov_report
+from .errors import CapExceededError, IntegrityError, _check_cap
 from .partitions import Partition
-from .qseries import (
-    MAX_CLASS_COUNT_N, MAX_POLY_N, MAX_RATIO_BITS, QPolynomial, feit_fine, gamma_q, gauss_identity_check,
-    gl2_census, gl_order, gow_sum, log_constant_ratio,
-)
-from .rsk import sample_plancherel
-from .symstats import (
-    MAX_SWEEP_N, CapExceededError, IntegrityError, _check_cap, angle_report, histogram, interval_counts,
-    involution_count, layer_sums, level_maxima, ln_big, log_mean_dimension_estimate, sweep, vk_ratio,
-)
+from .qseries import QPolynomial
 
 GAMMA_REFERENCE_TERMS = 40
 
@@ -145,9 +143,9 @@ class _Command(NamedTuple):
     ``rows(args)`` returns a list or tuple of tuples in column order, built
     in full before any text is written, whose cells are library values
     (ints, floats, partitions, polynomials, ...), formatted only through
-    the cell tables.  Builders look library functions up by their global
-    names at call time, so a profiler that rebinds those names sees every
-    call.
+    the cell tables.  Builders import the library names they call from
+    their modules when they run, so a profiler that rebinds a name in its
+    module sees every call.
     """
 
     path: tuple[str, ...]
@@ -210,20 +208,44 @@ def _poly_rows(pairs):
     return [(n, poly, poly.coeffs) for n, poly in pairs]
 
 
+def _sweep_rows(a):
+    from .symstats import sweep
+
+    return sweep(a.n)
+
+
 def _hist_rows(a):
+    from .symstats import histogram, sweep
+
     value = {"dim": lambda r: float(r.dim), "dimsq": lambda r: r.log_dim_sq, "class": lambda r: r.log_class}[a.what]
     # sweep(n) runs at the generator's first step, after histogram has checked bins.
     edges, counts = histogram((value(r) for n in (a.n,) for r in sweep(n)), a.bins)
     return list(zip(edges, edges[1:], counts))
 
 
+def _angle_rows(a):
+    from .symstats import MAX_SWEEP_N, angle_report
+
+    return list(map(angle_report, _sized_range(a.nmax, MAX_SWEEP_N)))
+
+
 def _intervals_rows(a):
+    from .symstats import interval_counts
+
     c = interval_counts(a.n, a.alpha, a.beta)
     ratio = c.count_dim_sq / c.count_class if c.count_class else None
     return [(*c, ratio)]
 
 
+def _layers_rows(a):
+    from .symstats import layer_sums
+
+    return layer_sums(a.n)
+
+
 def _maxdim_rows(a):
+    from .symstats import involution_count, level_maxima, ln_big, log_mean_dimension_estimate, vk_ratio
+
     rows = []
     for n, (m, argmax, count) in enumerate(level_maxima(a.nmax), 1):
         mean_log = ln_big(involution_count(n)) - ln_big(count)
@@ -232,7 +254,33 @@ def _maxdim_rows(a):
     return rows
 
 
+def _plancherel_rows(a):
+    from .rsk import sample_plancherel
+
+    return [(k, *sample) for k, sample in enumerate(sample_plancherel(a.n, a.seed, a.count))]
+
+
+def _gow_rows(a):
+    from .qseries import MAX_POLY_N, gow_sum
+
+    return _poly_rows((n, gow_sum(n)) for n in _sized_range(a.nmax, MAX_POLY_N))
+
+
+def _classes_rows(a):
+    from .qseries import feit_fine
+
+    return _poly_rows(enumerate(feit_fine(a.nmax)))
+
+
+def _order_rows(a):
+    from .qseries import MAX_POLY_N, gl_order
+
+    return _poly_rows((n, gl_order(n)) for n in _sized_range(a.nmax, MAX_POLY_N))
+
+
 def _ratio_rows(a):
+    from .qseries import MAX_CLASS_COUNT_N, MAX_RATIO_BITS, feit_fine, gamma_q, log_constant_ratio
+
     if a.q < 2:
         raise ValueError(f"q must be at least 2, got {a.q}")
     ns = _sized_range(a.nmax, MAX_CLASS_COUNT_N)
@@ -244,7 +292,21 @@ def _ratio_rows(a):
     return [(n, float(log_constant_ratio(n, a.q)), inv_gamma) for n in ns]
 
 
+def _census_rows(a):
+    from .qseries import gl2_census
+
+    return gl2_census(a.q)
+
+
+def _gauss_rows(a):
+    from .qseries import gauss_identity_check
+
+    return [(a.order, gauss_identity_check(a.order))]
+
+
 def _kirillov_rows(a):
+    from .kirillov import ALGEBRAS, kirillov_report
+
     report = kirillov_report(ALGEBRAS[a.alg], a.p)
     rows = []
     for kind, pairs in (("orbit", report.orbit_sizes), ("class", report.class_sizes), ("dim", report.rep_dims)):
@@ -260,20 +322,26 @@ def _int(text: str) -> int:
     try:
         return int(text)
     except ValueError:
+        from argparse import ArgumentTypeError
+
         shown = repr(text) if len(text) <= 64 else f"{text[:64]!r}... ({len(text)} characters)"
-        raise argparse.ArgumentTypeError(f"invalid int value: {shown}") from None
+        raise ArgumentTypeError(f"invalid int value: {shown}") from None
 
 
 _INT = {"type": _int, "required": True}
 _FLOAT = {"type": float, "required": True}
+# The flags every command takes after its own.
+_OUTPUT_FLAGS = {
+    "--format": {"choices": ("csv", "json"), "default": "csv"},
+    "--out": {"default": None, "help": "output path (default stdout)"},
+}
 _POLY_COLUMNS = ("n", "polynomial", "coeffs")
 _TOPICS = {"sym": "symmetric group tables", "gl": "GL_n(F_q) polynomial tables"}
 
 _COMMANDS = (
     _Command(
         ("sym", "sweep"), "per-partition dimensions and class sizes", {"--n": _INT},
-        ("partition", "dim", "class_size", "ln_dim_sq", "ln_class"),
-        lambda a: sweep(a.n),
+        ("partition", "dim", "class_size", "ln_dim_sq", "ln_class"), _sweep_rows,
     ),
     _Command(
         ("sym", "hist"), "histogram of dims or log data",
@@ -282,8 +350,7 @@ _COMMANDS = (
     ),
     _Command(
         ("sym", "angle"), "cosine against the constant vector", {"--nmax": _INT},
-        ("n", "sum_dim", "sum_dim_sq", "count", "cos_sq", "log_ratio", "predicted_log"),
-        lambda a: list(map(angle_report, _sized_range(a.nmax, MAX_SWEEP_N))),
+        ("n", "sum_dim", "sum_dim_sq", "count", "cos_sq", "log_ratio", "predicted_log"), _angle_rows,
     ),
     _Command(
         ("sym", "intervals"), "window counts of log data", {"--n": _INT, "--alpha": _FLOAT, "--beta": _FLOAT},
@@ -291,8 +358,7 @@ _COMMANDS = (
     ),
     _Command(
         ("sym", "layers"), "log sums grouped by largest part", {"--n": _INT},
-        ("k", "sum_ln_dim_sq", "sum_ln_class"),
-        lambda a: layer_sums(a.n),
+        ("k", "sum_ln_dim_sq", "sum_ln_class"), _layers_rows,
     ),
     _Command(
         ("sym", "maxdim"), "max dimension and related curves", {"--nmax": _INT},
@@ -300,55 +366,89 @@ _COMMANDS = (
     ),
     _Command(
         ("sym", "plancherel"), "seeded Plancherel samples", {"--n": _INT, "--count": _INT, "--seed": _INT},
-        ("index", "shape", "ln_pl"),
-        lambda a: [(k, *sample) for k, sample in enumerate(sample_plancherel(a.n, a.seed, a.count))],
+        ("index", "shape", "ln_pl"), _plancherel_rows,
     ),
-    _Command(
-        ("gl", "gow"), "degree-sum polynomials", {"--nmax": _INT}, _POLY_COLUMNS,
-        lambda a: _poly_rows((n, gow_sum(n)) for n in _sized_range(a.nmax, MAX_POLY_N)),
-    ),
-    _Command(
-        ("gl", "classes"), "class-count polynomials", {"--nmax": _INT}, _POLY_COLUMNS,
-        lambda a: _poly_rows(enumerate(feit_fine(a.nmax))),
-    ),
-    _Command(
-        ("gl", "order"), "group-order polynomials", {"--nmax": _INT}, _POLY_COLUMNS,
-        lambda a: _poly_rows((n, gl_order(n)) for n in _sized_range(a.nmax, MAX_POLY_N)),
-    ),
+    _Command(("gl", "gow"), "degree-sum polynomials", {"--nmax": _INT}, _POLY_COLUMNS, _gow_rows),
+    _Command(("gl", "classes"), "class-count polynomials", {"--nmax": _INT}, _POLY_COLUMNS, _classes_rows),
+    _Command(("gl", "order"), "group-order polynomials", {"--nmax": _INT}, _POLY_COLUMNS, _order_rows),
     _Command(
         ("gl", "ratio"), "degree-sum concentration ratio", {"--nmax": _INT, "--q": _INT},
         ("n", "ratio", "inv_gamma_ref"), _ratio_rows,
     ),
     _Command(
         ("gl", "census"), "GL_2 representation and class census", {"--q": _INT},
-        ("kind", "count", "value", "weight", "ok"), lambda a: gl2_census(a.q),
+        ("kind", "count", "value", "weight", "ok"), _census_rows,
     ),
-    _Command(
-        ("gl", "gauss"), "triangular-number series identity", {"--order": _INT},
-        ("order", "equal"), lambda a: [(a.order, gauss_identity_check(a.order))],
-    ),
+    _Command(("gl", "gauss"), "triangular-number series identity", {"--order": _INT}, ("order", "equal"), _gauss_rows),
     _Command(
         ("kirillov",), "orbit method on unitriangular groups",
-        {"--alg": {"choices": sorted(ALGEBRAS), "required": True}, "--p": _INT},
+        # kirillov.ALGEBRAS's names, sorted; a literal, so that parsing imports no topic module.
+        {"--alg": {"choices": ("heis3", "ut4"), "required": True}, "--p": _INT},
         ("kind", "size", "multiplicity", "ok"), _kirillov_rows,
     ),
 )
 
 
-class _Parser(argparse.ArgumentParser):
-    """An argument parser whose usage errors raise _UsageError, for main to report with exit code 2."""
+def _parse_plain(argv: list[str]) -> SimpleNamespace | None:
+    """argv's command and flag values if argv is a command's path then distinct ``--flag value`` pairs, else None.
 
-    def error(self, message):
-        raise _UsageError(message)
+    Each flag must be one of the command's own, ``--format`` or ``--out``,
+    spelled in full; each value must not start with "-" and must pass its
+    flag's type and choices; every required flag must be given.  argparse
+    parses such an argv to the same values.  Any other argv (a help page,
+    ``--flag=value``, an abbreviation, a repeated flag, a stray word, a
+    negative number, a failed conversion, ...) is left to argparse.
+    """
+    cmd = next((c for c in _COMMANDS if tuple(argv[: len(c.path)]) == c.path), None)
+    if cmd is None:
+        return None
+    rest = argv[len(cmd.path):]
+    given = dict(zip(rest[::2], rest[1::2]))
+    specs = cmd.args | _OUTPUT_FLAGS
+    if 2 * len(given) != len(rest) or not given.keys() <= specs.keys():
+        return None
+    values = {}
+    for flag, spec in specs.items():
+        text = given.get(flag)
+        if text is None:
+            if spec.get("required"):
+                return None
+            value = spec.get("default")
+        else:
+            if text.startswith("-"):
+                return None
+            try:
+                value = spec.get("type", str)(text)
+            except Exception:  # argparse words the diagnostic
+                return None
+            if "choices" in spec and value not in spec["choices"]:
+                return None
+        values[flag[2:]] = value
+    return SimpleNamespace(cmd=cmd, **values)
 
 
 class _UsageError(Exception):
     pass
 
 
-def build_parser() -> _Parser:
-    """Every topic, command and flag, in the order of ``_COMMANDS``: the parser of an argv that names no command."""
-    parser = _Parser(prog="repstat", description="Exact dimension statistics of finite groups")
+@cache
+def _parser_class() -> type:
+    """_Parser, an argument parser whose usage errors raise _UsageError, for main to report with exit code 2.
+
+    The class is made at the first call, so that only an argv that argparse parses imports argparse.
+    """
+    import argparse
+
+    class _Parser(argparse.ArgumentParser):
+        def error(self, message):
+            raise _UsageError(message)
+
+    return _Parser
+
+
+def build_parser():
+    """Every topic, command and flag, in the order of ``_COMMANDS``: argparse's tree, for an argv of any other shape."""
+    parser = _parser_class()(prog="repstat", description="Exact dimension statistics of finite groups")
     topics = parser.add_subparsers(dest="topic", required=True)
     commands = {}
     for cmd in _COMMANDS:
@@ -356,26 +456,16 @@ def build_parser() -> _Parser:
         if topic and topic[0] not in commands:
             group = topics.add_parser(topic[0], help=_TOPICS[topic[0]])
             commands[topic[0]] = group.add_subparsers(dest="command", required=True)
-        _add_flags((commands[topic[0]] if topic else topics).add_parser(name, help=cmd.help), cmd)
+        sub = (commands[topic[0]] if topic else topics).add_parser(name, help=cmd.help)
+        for flag, spec in (cmd.args | _OUTPUT_FLAGS).items():
+            sub.add_argument(flag, **spec)
+        sub.set_defaults(cmd=cmd)
     return parser
 
 
-def _add_flags(parser: _Parser, cmd: _Command) -> None:
-    for flag, spec in cmd.args.items():
-        parser.add_argument(flag, **spec)
-    parser.add_argument("--format", choices=["csv", "json"], default="csv")
-    parser.add_argument("--out", default=None, help="output path (default stdout)")
-    parser.set_defaults(cmd=cmd)
-
-
-def _parse(argv: list[str]) -> argparse.Namespace:
-    """argv parsed by the one parser of the command whose path it starts with, or by the whole tree."""
-    for cmd in _COMMANDS:
-        if tuple(argv[: len(cmd.path)]) == cmd.path:
-            parser = _Parser(prog=" ".join(("repstat", *cmd.path)))
-            _add_flags(parser, cmd)
-            return parser.parse_args(argv[len(cmd.path):])
-    return build_parser().parse_args(argv)
+def _parse(argv: list[str]):
+    """argv's command and flags: from its table entry when argv has the plain shape, else by build_parser's tree."""
+    return _parse_plain(argv) or build_parser().parse_args(argv)
 
 
 def main(argv=None) -> int:

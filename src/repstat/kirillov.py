@@ -36,7 +36,7 @@ from functools import lru_cache
 from itertools import compress, product
 from typing import NamedTuple
 
-from .symstats import IntegrityError, _check_cap
+from .errors import IntegrityError, _check_cap
 
 # Most torus representatives the two rank walks may take together: ut4 up
 # to p = 211 (45,602, about 1.1 s on a shared 2-CPU Xeon with Python 3.11)

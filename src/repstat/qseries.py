@@ -22,7 +22,7 @@ import sys
 from operator import add, index, sub
 from typing import TYPE_CHECKING, NamedTuple
 
-from .symstats import IntegrityError, _check_cap
+from .errors import IntegrityError, _check_cap
 
 # fractions (and the decimal module it loads) is imported where a Fraction
 # is built, so that importing this module does not load it.

@@ -30,7 +30,8 @@ from math import factorial
 from typing import Iterator
 
 from .partitions import Partition, _trusted_partition
-from .symstats import _check_cap, dimension, ln_big
+from .errors import _check_cap
+from .symstats import dimension, ln_big
 
 _TWO64 = 1 << 64
 _MASK64 = _TWO64 - 1

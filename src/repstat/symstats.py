@@ -48,6 +48,7 @@ from math import factorial, perm
 from operator import add, eq, floordiv, mod, mul, rshift
 from typing import TYPE_CHECKING, NamedTuple
 
+from .errors import IntegrityError, _check_cap
 from .partitions import Partition, _trusted_partition, partition_count
 
 # fractions (and the decimal module it loads) is imported where a Fraction
@@ -62,28 +63,10 @@ MAX_HIST_BINS = 10_000
 
 _LN2 = math.log(2)
 
-# ln_big's shift by bit length, clamped at 0 (log(x >> 0) + 0 * ln 2 is
+# ln_big's shift by bit length b, max(b - 64, 0) (log(x >> 0) + 0 * ln 2 is
 # log(x)), and that shift times ln 2, for integers up to (MAX_SWEEP_N!)^2.
-_SHIFT = [max(b - 64, 0) for b in range(513)]
+_SHIFT = [0] * 65 + list(range(1, 449))
 _SHIFT_LN2 = [s * _LN2 for s in _SHIFT]
-
-
-class IntegrityError(RuntimeError):
-    """An exact identity that must hold by theorem failed; indicates a bug."""
-
-
-class CapExceededError(RuntimeError):
-    """A request exceeded one of the library's fixed size caps.
-
-    Every cap is a MAX_* constant of the module that checks it; none can
-    be raised by the caller.  The message names the input, the size asked
-    for and the cap it exceeded.
-    """
-
-
-def _check_cap(value: int, cap: int, what: str) -> None:
-    if value > cap:
-        raise CapExceededError(f"{what}={value} exceeds the cap {cap}")
 
 
 def ln_big(x: int) -> float:

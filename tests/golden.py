@@ -2,10 +2,11 @@
 
 ``GOLDEN`` lists one small invocation of every command with the SHA-256 of
 its stdout in CSV and in JSON.  ``PARITY`` lists help, usage-error and
-valid argvs that the CLI, which sends a command's argv straight to that
-command's own parser, must answer as ``eager_parser`` (one tree of every
-parser and flag, through which argparse dispatches each argv) does: same
-exit code, stdout and stderr.  ``tests/test_cli.py`` checks both in
+valid argvs that the CLI, which parses a plain command argv from the
+command's table entry without argparse and leaves any other to argparse,
+must answer as ``eager_parser`` (one tree of every parser and flag,
+through which argparse dispatches each argv) does: same exit code, stdout
+and stderr.  ``tests/test_cli.py`` checks both in
 process; run this file under any supported Python to replay them there,
 argparse's dispatch included:
 
@@ -75,8 +76,8 @@ GOLDEN = [
 
 
 def eager_parser():
-    """The CLI's parser as it was built before argvs were sent to their command's parser: all 17 parsers, every flag."""
-    parser = cli._Parser(prog="repstat", description="Exact dimension statistics of finite groups")
+    """The CLI's parser as it was built before plain argvs were parsed without argparse: all 17 parsers, every flag."""
+    parser = cli._parser_class()(prog="repstat", description="Exact dimension statistics of finite groups")
     topics = parser.add_subparsers(dest="topic", required=True)
     groups = {}
     for cmd in cli._COMMANDS:
@@ -112,6 +113,11 @@ PARITY = [
     ["sym", "sweep", "--n", "3", "--", "x"], ["sym", "sweep", "--n", "3", "sym"],
     ["kirillov", "--alg", "ut4", "--p", "5", "--", "--format", "json"], ["gl", "census", "--q", "3", "--format=json"],
     ["gl", "ratio", "--nmax", "3", "--q", "2", "--", "--q", "3"],
+    # A repeated flag, a negative value, "-" as a value (the refusal opens no
+    # file named "-"), an empty value, and flags in another order.
+    ["sym", "sweep", "--n", "3", "--n", "4"], ["gl", "ratio", "--nmax", "3", "--q", "-2"],
+    ["sym", "sweep", "--n", "0", "--out", "-"], ["sym", "sweep", "--n", ""],
+    ["gl", "ratio", "--q", "2", "--nmax", "3"], ["sym", "sweep", "--format", "json", "--n", "3"],
     *(next(argv.split() for argv, *_ in GOLDEN if tuple(argv.split()[: len(cmd.path)]) == cmd.path)
       for cmd in cli._COMMANDS),
 ]

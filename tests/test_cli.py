@@ -15,7 +15,9 @@ import subprocess
 import sys
 import time
 import tracemalloc
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
+from itertools import chain
 from pathlib import Path
 
 import pytest
@@ -289,10 +291,10 @@ class TestExitCodes:
         assert not target.exists()
 
     def test_hist_refuses_bins_before_building_the_level(self, capsys):
-        misses = cli.sweep.cache_info().misses
+        misses = symstats.sweep.cache_info().misses
         code, out, err = run_cli(capsys, "sym", "hist", "--n", "40", "--bins", str(MAX_HIST_BINS + 1))
         assert (code, out) == (3, "") and "bins=10001 exceeds the cap 10000" in err
-        assert cli.sweep.cache_info().misses == misses
+        assert symstats.sweep.cache_info().misses == misses
 
     def test_cap_flag_is_usage_error(self, capsys):
         # The sweep cap is fixed; there is no flag to lower or raise it.
@@ -528,7 +530,6 @@ class TestOneReadPerLevel:
             return real(n)
 
         monkeypatch.setattr(symstats, "sweep", counting)
-        monkeypatch.setattr(cli, "sweep", counting)
         return calls
 
     def test_maxdim_reads_no_sweep_level(self, capsys, reads):
@@ -586,15 +587,15 @@ class TestGolden:
             assert hashlib.sha256(out.encode("utf-8")).hexdigest() == sha
 
     def test_row_builders_call_library_by_global_name(self, capsys, monkeypatch):
-        # A profiler that rebinds cli.sweep must see every call the table makes.
+        # A profiler that rebinds symstats.sweep must see every call the table makes.
         calls = []
-        real = cli.sweep
+        real = symstats.sweep
 
         def patched(*args):
             calls.append(args)
             return real(*args)
 
-        monkeypatch.setattr(cli, "sweep", patched)
+        monkeypatch.setattr(symstats, "sweep", patched)
         code, out, _ = run_cli(capsys, "sym", "sweep", "--n", "4")
         assert code == 0 and calls == [(4,)]
         assert len(parse_csv(out)[1]) == partition_count(4)
@@ -626,22 +627,69 @@ class TestGolden:
         assert missing == []
 
 
+# Words a parse can meet after a command's path: every flag, abbreviations
+# of flags, help and "--", and values both valid and not.
+_FLAGS = sorted({flag for c in cli._COMMANDS for flag in c.args} | set(cli._OUTPUT_FLAGS))
+_WORDS = [*_FLAGS, *sorted({f[:k] for f in _FLAGS for k in range(3, len(f))} - set(_FLAGS)), "-h", "--"]
+_VALUES = ["0", "1", "-1", "-2", "-x", "-h", "--", "", " 4", "x", "0.5", "1e1", "csv", "json", "ut4", "heis3", "dim", "y"]
+
+
+@st.composite
+def command_argvs(draw):
+    """A command's path, then its flags in any order, each left out or given a value valid or not, then maybe stray words."""
+    cmd = draw(st.sampled_from(cli._COMMANDS))
+    specs = cmd.args | cli._OUTPUT_FLAGS
+    argv = list(cmd.path)
+    for flag in draw(st.permutations(list(specs))):
+        good = st.sampled_from(specs[flag].get("choices", ("2", "3", "7")))
+        value = draw(st.one_of(good, good, good, good, st.sampled_from(_VALUES), st.none()))
+        if value is not None:
+            argv += [flag, value]
+    return argv + draw(st.just([]) | st.lists(st.sampled_from(_WORDS + _VALUES), max_size=2))
+
+
+def parsed(parse, argv):
+    """parse(argv)'s command and flag values, or the exit code, stdout and stderr with which main stops on argv."""
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with redirect_stdout(out), redirect_stderr(err):
+            args = parse(list(argv))
+    except cli._UsageError as exc:
+        return 2, "", f"repstat: usage error: {exc}\n"
+    except SystemExit as exc:  # argparse exits after a help page
+        return exc.code, out.getvalue(), err.getvalue()
+    return {k: v for k, v in vars(args).items() if k not in ("topic", "command")}
+
+
 class TestParser:
-    """A command's argv goes to that command's parser alone, any other to the whole tree, and both answer as the eager parser."""
+    """A plain command argv is parsed from its table entry, any other by argparse's tree, and both as the eager parser parses them."""
 
     @pytest.mark.parametrize("argv", PARITY, ids=[" ".join(argv) or "(none)" for argv in PARITY])
     def test_matches_the_eager_parser(self, argv):
         assert run_with(cli._parse, argv) == run_with(eager_parse, argv)
 
+    @settings(max_examples=100, deadline=None)
+    @given(command_argvs())
+    @example(["sym", "sweep", "--n", "3", "--format", "json", "--out", ""])
+    @example(["kirillov", "--p", "5", "--alg", "heis3"])
+    def test_drawn_argv_parses_as_the_eager_parser(self, argv):
+        assert parsed(cli._parse, argv) == parsed(eager_parse, argv)
+
     def test_help_text_without_parsing(self):
         for text in ("format_help", "format_usage"):
             assert getattr(cli.build_parser(), text)() == getattr(eager_parser(), text)()
+
+    def test_alg_choices_are_the_algebras(self):
+        # A literal in cli, so that parsing a kirillov argv imports no kirillov module.
+        (kirillov,) = [c for c in cli._COMMANDS if c.path == ("kirillov",)]
+        assert kirillov.args["--alg"]["choices"] == tuple(sorted(ALGEBRAS))
 
     @staticmethod
     def built(monkeypatch, capsys, argv):
         """main(argv)'s exit code, the progs of the parsers it makes, and (prog, flag) for each flag it adds past -h."""
         parsers, flags = [], []
-        init, add = cli._Parser.__init__, cli._Parser.add_argument
+        parser_class = cli._parser_class()
+        init, add = parser_class.__init__, parser_class.add_argument
 
         def counting_init(self, *args, **kwargs):
             init(self, *args, **kwargs)
@@ -652,17 +700,14 @@ class TestParser:
                 flags.append((self.prog, args[0]))
             return add(self, *args, **kwargs)
 
-        monkeypatch.setattr(cli._Parser, "__init__", counting_init)
-        monkeypatch.setattr(cli._Parser, "add_argument", counting_add)
+        monkeypatch.setattr(parser_class, "__init__", counting_init)
+        monkeypatch.setattr(parser_class, "add_argument", counting_add)
         return run_cli(capsys, *argv)[0], parsers, flags
 
     @pytest.mark.parametrize("cmd", cli._COMMANDS, ids=[" ".join(c.path) for c in cli._COMMANDS])
-    def test_command_builds_only_its_parser(self, monkeypatch, capsys, cmd):
+    def test_command_argv_builds_no_parser(self, monkeypatch, capsys, cmd):
         argv = next(a.split() for a, *_ in GOLDEN if tuple(a.split()[: len(cmd.path)]) == cmd.path)
-        code, parsers, flags = self.built(monkeypatch, capsys, argv)
-        prog = " ".join(("repstat", *cmd.path))
-        assert (code, parsers) == (0, [prog])
-        assert flags == [(prog, f) for f in (*cmd.args, "--format", "--out")]
+        assert self.built(monkeypatch, capsys, argv) == (0, [], [])
 
     @pytest.mark.parametrize("argv", [[], ["sym"], ["foo"]], ids=["(none)", "sym", "foo"])
     def test_argv_naming_no_command_builds_the_tree(self, monkeypatch, capsys, argv):
@@ -764,7 +809,7 @@ class TestConsoleScript:
 
     def test_run_help_exits_zero_with_the_help_text(self, monkeypatch):
         # argparse wraps help to COLUMNS, which the child inherits.  The
-        # tree answers -h and sym -h, and a command's own parser sym sweep -h.
+        # tree answers every help page, a command's (sym sweep -h) included.
         monkeypatch.setenv("COLUMNS", "80")
         for argv in (["-h"], ["sym", "-h"], ["sym", "sweep", "-h"]):
             proc = console_script(*argv)

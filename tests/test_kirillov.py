@@ -37,7 +37,7 @@ from repstat.kirillov import (
     check_prime,
     kirillov_report,
 )
-from repstat.symstats import CapExceededError, IntegrityError
+from repstat.errors import CapExceededError, IntegrityError
 
 from kirillov_oracles import (
     _all_states,
@@ -386,7 +386,7 @@ class TestRankIntegrity:
         env = {**os.environ, "PYTHONPATH": src}
         code = (
             "from repstat import kirillov\n"
-            "from repstat.symstats import IntegrityError\n"
+            "from repstat.errors import IntegrityError\n"
             "real = kirillov._rank_counts\n"
             "kirillov._rank_counts = lambda alg, p: (real(alg, p)[1],) * 2\n"
             "try:\n"

@@ -31,7 +31,7 @@ from repstat.qseries import (
     gow_sum,
     log_constant_ratio,
 )
-from repstat.symstats import CapExceededError, IntegrityError
+from repstat.errors import CapExceededError, IntegrityError
 
 from gl_oracles import (
     UnsupportedFieldError, gl_order_pairs, gow_sum_pairs, log_derivative_class_counts, q_power,
@@ -222,7 +222,7 @@ class TestFeitFine:
         env = {**os.environ, "PYTHONPATH": src}
         code = (
             "from repstat import qseries\n"
-            "from repstat.symstats import IntegrityError\n"
+            "from repstat.errors import IntegrityError\n"
             "qseries._DIGIT = 'b'\n"
             "try:\n"
             "    qseries.feit_fine(116)\n"

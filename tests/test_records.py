@@ -44,7 +44,12 @@ def child_modules(code: str) -> str:
 
 def test_cli_import_leaves_out_dataclasses():
     # Nor json, fractions and the decimal module that fractions loads: each is imported where it is used.
-    left_out = {"dataclasses", "inspect", "json", "fractions", "decimal"}
+    # Nor argparse (and its gettext), which only an argv of no plain command shape needs, nor a
+    # topic module but qseries, whose polynomials are cells: each row builder imports its own.
+    left_out = {
+        "dataclasses", "inspect", "json", "fractions", "decimal",
+        "argparse", "gettext", "repstat.symstats", "repstat.kirillov", "repstat.rsk",
+    }
     code = f"import sys, repstat.cli; print(sorted({left_out!r} & set(sys.modules)), file=sys.stderr)"
     assert child_modules(code) == "[]"
 
@@ -54,5 +59,25 @@ def test_csv_table_leaves_out_json_and_fractions(argv):
     code = (
         f"import sys, repstat.cli; code = repstat.cli.main({argv!r}); "
         "print(code, sorted({'json', 'fractions'} & set(sys.modules)), file=sys.stderr)"
+    )
+    assert child_modules(code) == "0 []"
+
+
+# A valid argv of each topic, and the topic modules it must not load; qseries
+# comes with repstat.cli itself.
+TOPIC_ARGVS = [
+    (["sym", "sweep", "--n", "5"], ["repstat.kirillov"]),
+    (["sym", "plancherel", "--n", "8", "--count", "5", "--seed", "3"], ["repstat.kirillov"]),
+    (["gl", "census", "--q", "3", "--format", "json"], ["repstat.kirillov", "repstat.rsk", "repstat.symstats"]),
+    (["kirillov", "--alg", "heis3", "--p", "3"], ["repstat.rsk", "repstat.symstats"]),
+]
+
+
+@pytest.mark.parametrize("argv, others", TOPIC_ARGVS, ids=[" ".join(argv[:2]) for argv, _ in TOPIC_ARGVS])
+def test_command_loads_no_argparse_and_no_other_topic(argv, others):
+    left_out = {"argparse", "gettext", *others}
+    code = (
+        f"import sys, repstat.cli; code = repstat.cli.main({argv!r}); "
+        f"print(code, sorted({left_out!r} & set(sys.modules)), file=sys.stderr)"
     )
     assert child_modules(code) == "0 []"

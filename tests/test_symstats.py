@@ -17,6 +17,7 @@ from hypothesis import given, strategies as st
 
 import repstat
 from repstat import symstats
+from repstat.errors import CapExceededError, IntegrityError
 from repstat.rsk import sample_plancherel
 from repstat.partitions import (
     Partition, conjugate, enumerate_partitions, hook_lengths, partition_count,
@@ -24,8 +25,6 @@ from repstat.partitions import (
 from repstat.symstats import (
     MAX_HIST_BINS,
     MAX_SWEEP_N,
-    CapExceededError,
-    IntegrityError,
     angle_decay_constant,
     angle_report,
     class_size,
@@ -391,6 +390,9 @@ class TestLnBatch:
     def test_edge_values(self):
         xs = [1, 2**53 - 1, 2**53, 2**53 + 1, 2**64 - 1, 2**64, 2**64 + 1, factorial(50), factorial(50) ** 2]
         assert self.bits(symstats._ln_batch(xs)) == self.bits(map(ln_big, xs))
+
+    def test_shift_table_is_the_clamped_shift(self):
+        assert symstats._SHIFT == [max(b - 64, 0) for b in range(513)]
 
     def test_every_value_of_a_sweep(self):
         recs = sweep(30)
