@@ -7,11 +7,12 @@ figure-style data is emitted as tables, plotting is left to other tools.
 
 Every command is one entry of ``_COMMANDS``: its path, help, flags, columns
 and a row builder.  Start-up is most of a small table's time, so
-``import repstat.cli`` loads only ``errors``, ``partitions`` and ``qseries``
-(whose partitions and polynomials are cells), and each row builder imports
-the library names it calls when it runs.  An argv that is a command's path
-followed by distinct ``--flag value`` pairs is parsed from that command's
-entry by ``_parse_plain``, without argparse; any other argv (a help page,
+``import repstat.cli`` loads only ``errors`` and ``partitions`` (whose
+partitions are cells; a polynomial reaches the writer as its serialized
+text), and each row builder imports the library names it calls when it
+runs.  An argv that is a command's path followed by distinct ``--flag
+value`` pairs is parsed from that command's entry by ``_parse_plain``,
+without argparse; any other argv (a help page,
 a usage error, ``--flag=value``, an abbreviation, a repeated flag, a
 negative value, ...) goes to ``build_parser``'s tree of every topic,
 command and flag, the only code that imports argparse, so that argparse
@@ -37,8 +38,6 @@ not by ``import repstat.cli`` or a CSV table; no table cell is a
 bytes.
 """
 
-from __future__ import annotations
-
 import contextlib
 import gc
 import os
@@ -52,7 +51,6 @@ from typing import Callable, NamedTuple
 from . import __version__
 from .errors import CapExceededError, IntegrityError, _check_cap
 from .partitions import Partition
-from .qseries import QPolynomial
 
 GAMMA_REFERENCE_TERMS = 40
 
@@ -66,7 +64,7 @@ ROWS_PER_WRITE = 64
 # significant digits, sequences space-joined.
 _TEXT = {
     str: str, int: str, type(None): lambda v: "", bool: lambda v: "true" if v else "false",
-    float: "{:.12g}".format, Partition: Partition.serialize, QPolynomial: QPolynomial.serialize,
+    float: "{:.12g}".format, Partition: Partition.serialize,
 }
 _TEXT[tuple] = _TEXT[list] = lambda v: " ".join([_TEXT[type(x)](x) for x in v])
 
@@ -119,8 +117,9 @@ def _json_str(v: str) -> str:
     """v as a JSON string, escaped to ASCII by json's C encoder.
 
     json is imported here rather than with this module, so that CSV output
-    never loads it.  Only the ``kind`` and ``argmax`` columns hold str cells,
-    so the import's per-call lookup stays off the large tables.
+    never loads it.  Only the ``kind``, ``argmax`` and ``polynomial`` columns
+    hold str cells, so the import's per-call lookup stays off the large
+    tables.
     """
     from json.encoder import encode_basestring_ascii
 
@@ -128,12 +127,11 @@ def _json_str(v: str) -> str:
 
 
 # Finished JSON text by exact type: big integers as strings, reals rounded
-# to 12 significant digits, sequences as lists.  Partition and polynomial
-# text is ASCII without quotes or backslashes, so it needs no escaping.
+# to 12 significant digits, sequences as lists.  Partition text is ASCII
+# without quotes or backslashes, so it needs no escaping.
 _JSON = {
     str: _json_str, int: lambda v: f'"{v}"', type(None): lambda v: "null", bool: _TEXT[bool],
-    float: _json_float, Partition: lambda v: f'"{v.serialize()}"', QPolynomial: lambda v: f'"{v.serialize()}"',
-    tuple: _json_seq, list: _json_seq,
+    float: _json_float, Partition: lambda v: f'"{v.serialize()}"', tuple: _json_seq, list: _json_seq,
 }
 
 
@@ -142,7 +140,7 @@ class _Command(NamedTuple):
 
     ``rows(args)`` returns a list or tuple of tuples in column order, built
     in full before any text is written, whose cells are library values
-    (ints, floats, partitions, polynomials, ...), formatted only through
+    (ints, floats, partitions, polynomial text, ...), formatted only through
     the cell tables.  Builders import the library names they call from
     their modules when they run, so a profiler that rebinds a name in its
     module sees every call.
@@ -205,7 +203,7 @@ def _sized_range(nmax: int, cap: int) -> range:
 
 
 def _poly_rows(pairs):
-    return [(n, poly, poly.coeffs) for n, poly in pairs]
+    return [(n, poly.serialize(), poly.coeffs) for n, poly in pairs]
 
 
 def _sweep_rows(a):

@@ -30,8 +30,6 @@ and class sizes p^s.  The closures these formulas replace (dense matrix
 searches, a sparse BFS over all p^dim states) are tests/kirillov_oracles.py.
 """
 
-from __future__ import annotations
-
 from functools import lru_cache
 from itertools import compress, product
 from typing import NamedTuple

@@ -9,8 +9,6 @@ A Partition is a validated tuple, equal to the plain tuple of its parts;
 _trusted_partition wraps parts weakly decreasing by construction unchecked.
 """
 
-from __future__ import annotations
-
 from operator import index, lt
 from typing import Iterable, Iterator
 
@@ -44,7 +42,7 @@ class Partition(tuple):
         return sum(self)
 
     @property
-    def parts(self) -> Partition:
+    def parts(self) -> "Partition":
         return self
 
     def __repr__(self) -> str:

@@ -16,18 +16,15 @@ product itself, expanded on plain ints that each pack one polynomial in q
 an integer series; both multiply by 1 - t^m with one slice update.
 """
 
-from __future__ import annotations
-
 import sys
 from operator import add, index, sub
-from typing import TYPE_CHECKING, NamedTuple
+from typing import NamedTuple
 
 from .errors import IntegrityError, _check_cap
 
 # fractions (and the decimal module it loads) is imported where a Fraction
-# is built, so that importing this module does not load it.
-if TYPE_CHECKING:
-    from fractions import Fraction
+# is built, so that importing this module does not load it; annotations
+# name Fraction as a string.
 
 # Largest sizes the GL tables accept.  On a shared 2-CPU Xeon with Python
 # 3.11, feit_fine(200) takes about 11 ms, gl_order over n = 1..60 about
@@ -343,8 +340,8 @@ def gauss_identity_check(order: int) -> bool:
 
 
 class GammaPartialSum(NamedTuple):
-    value: Fraction
-    tail_bound: Fraction
+    value: "Fraction"
+    tail_bound: "Fraction"
     terms: int
 
 
@@ -373,7 +370,7 @@ def gamma_q(q, terms: int) -> GammaPartialSum:
     return GammaPartialSum(value, tail_bound, terms)
 
 
-def log_constant_ratio(n: int, q) -> Fraction:
+def log_constant_ratio(n: int, q) -> "Fraction":
     """B_n(q)^2 / (C_n(q) * D_n(q)) as an exact rational.
 
     B, C, D are the degree sum, the class count, and the group order of

@@ -19,8 +19,6 @@ share one finalizer, _mix64, so the contract is written out once and its
 version is unchanged.
 """
 
-from __future__ import annotations
-
 import math
 import struct
 from bisect import bisect_left
@@ -40,9 +38,9 @@ _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 
 # Largest n, and largest n * count, that sample_plancherel accepts.  On a
-# shared 2-CPU Xeon with Python 3.11 one sample takes about 4.5 ms at
-# n = 1000 and 0.18 s at n = 10000, so a full-size request runs for
-# roughly 5 to 20 s.
+# shared 2-CPU Xeon with Python 3.11 one sample takes about 2.5 to 4 ms at
+# n = 1000 and 0.10 to 0.16 s at n = 10000, the spread being the host's
+# load, so a full-size request runs for roughly 3 to 16 s.
 MAX_PLANCHEREL_N = 10_000
 MAX_PLANCHEREL_CELLS = 1_000_000
 

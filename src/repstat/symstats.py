@@ -37,8 +37,6 @@ caches the last level only so that it is never freed: the repstat
 process ends with os._exit and no teardown (see sweep).
 """
 
-from __future__ import annotations
-
 import math
 from bisect import bisect_right
 from collections import Counter
@@ -46,15 +44,14 @@ from functools import lru_cache
 from itertools import compress, islice, repeat
 from math import factorial, perm
 from operator import add, eq, floordiv, mod, mul, rshift
-from typing import TYPE_CHECKING, NamedTuple
+from typing import NamedTuple
 
 from .errors import IntegrityError, _check_cap
 from .partitions import Partition, _trusted_partition, partition_count
 
 # fractions (and the decimal module it loads) is imported where a Fraction
-# is built, so that importing this module does not load it.
-if TYPE_CHECKING:
-    from fractions import Fraction
+# is built, so that importing this module does not load it; annotations
+# name Fraction as a string.
 
 # Largest n the S_n sweeps accept and largest bin count histogram accepts.
 # A sweep holds all p(n) records, 204,226 at n = 50.
@@ -84,7 +81,7 @@ def ln_big(x: int) -> float:
     return math.log(x >> shift) + shift * _LN2
 
 
-def ln_fraction(r: Fraction) -> float:
+def ln_fraction(r: "Fraction") -> float:
     """Natural log of a positive rational, exact-integer logs on both sides."""
     if r <= 0:
         raise ValueError(f"ln_fraction needs a positive rational, got {r}")
@@ -382,7 +379,7 @@ def level_maxima(nmax: int) -> list[tuple[int, list[Partition], int]]:
     return [(best[k], argmax[k], tally[k]) for k in range(1, size)]
 
 
-def plancherel_mass(lam: Partition) -> Fraction:
+def plancherel_mass(lam: Partition) -> "Fraction":
     """dim^2 / n! in lowest terms; these masses sum to 1 over all lam of n."""
     from fractions import Fraction
 
@@ -405,7 +402,7 @@ class AngleReport(NamedTuple):
     predicted_log: float  # (2 - pi*sqrt(2/3))*sqrt(n) + ln(n)/2
 
 
-def cos_sq_exact(n: int) -> Fraction:
+def cos_sq_exact(n: int) -> "Fraction":
     """I(n)^2 / (p(n) * n!) as an exact rational."""
     from fractions import Fraction
 
@@ -503,7 +500,7 @@ def layer_sums(n: int) -> list[tuple[int, float, float]]:
     return [(k, a[k], b[k]) for k in range(1, n + 1)]
 
 
-def fraction_near_max(n: int, threshold) -> tuple[Fraction, bool]:
+def fraction_near_max(n: int, threshold) -> tuple["Fraction", bool]:
     """Proportion C of partitions whose dimension is within a factor of the max.
 
     C = #{lam : threshold * m_n <= dim <= m_n} / p(n), exact, over one read

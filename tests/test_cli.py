@@ -717,16 +717,17 @@ class TestParser:
 
 
 # One value of every type the cell tables hold: floats at the edges of
-# %.12g, a bool beside an int, a partition past the digit table.
+# %.12g, a bool beside an int, a partition past the digit table, and
+# polynomial text as the gl row builders hand it over.
 CELLS = (
     1e-05, 1e20, 123456789012.0, -0.0, True, 1, None,
-    (1, (0.5, None, False), "a b"), [-7], Partition([100, 1]), QPolynomial(),
+    (1, (0.5, None, False), "a b"), [-7], Partition([100, 1]), "-1 + 0*q + 1*q^2",
 )
 # As the isinstance chains that the tables replaced rendered them, with the
-# partition and the polynomial serialized first as the row builders then did.
+# partition serialized first as the row builders then did.
 CELLS_CSV = (
     "c0,c1,c2,c3,c4,c5,c6,c7,c8,c9,c10\n"
-    '1e-05,1e+20,123456789012,-0,true,1,,1 0.5  false a b,-7,"[100,1]",0\n'
+    '1e-05,1e+20,123456789012,-0,true,1,,1 0.5  false a b,-7,"[100,1]",-1 + 0*q + 1*q^2\n'
 )
 CELLS_JSON_ROW = """{
       "c0": 1e-05,
@@ -749,7 +750,7 @@ CELLS_JSON_ROW = """{
         "-7"
       ],
       "c9": "[100,1]",
-      "c10": "0"
+      "c10": "-1 + 0*q + 1*q^2"
     }"""
 
 
@@ -857,10 +858,21 @@ class TestCellTables:
             seen.add(type(v))
             if type(v) in (tuple, list):
                 todo.extend(v)
-        assert {Partition, QPolynomial, tuple, float, bool, type(None)} <= seen
+        assert {Partition, str, tuple, float, bool, type(None)} <= seen
         assert seen - set(cli._CSV) == set() and seen - set(cli._JSON) == set()
         # gl ratio emits its exact ratios as floats, so no table needs fractions.
         assert Fraction not in seen and Fraction not in cli._CSV and Fraction not in cli._JSON
+
+    @pytest.mark.parametrize(
+        "name, poly",
+        [("gow", qseries.gow_sum), ("classes", lambda n: qseries.feit_fine(n)[n]), ("order", qseries.gl_order)],
+    )
+    def test_gl_polynomial_cells_are_text(self, name, poly):
+        # A gl polynomial row holds the polynomial's serialized text, so no polynomial object reaches the writer.
+        rows = _rows(["gl", name, "--nmax", "12"])
+        ns = range(0 if name == "classes" else 1, 13)
+        assert rows == [(n, poly(n).serialize(), poly(n).coeffs) for n in ns]
+        assert {type(text) for _, text, _ in rows} == {str}
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     @pytest.mark.parametrize("cell", [range(0, 2), {"a": 1}, (1, [range(3)]), Fraction(1, 3)])
@@ -878,13 +890,13 @@ class TestCellTables:
 OLD_CSV = {
     str: str, int: str, type(None): lambda v: "", bool: lambda v: "true" if v else "false",
     float: "{:.12g}".format, Fraction: lambda v: f"{float(v):.12g}",
-    Partition: Partition.serialize, QPolynomial: QPolynomial.serialize,
+    Partition: Partition.serialize,
 }
 OLD_CSV[tuple] = OLD_CSV[list] = lambda v: " ".join([OLD_CSV.get(type(x), str)(x) for x in v])
 OLD_JSON = {
     str: str, int: str, type(None): lambda v: v, bool: lambda v: v,
     float: lambda v: float(f"{v:.12g}"), Fraction: lambda v: float(f"{float(v):.12g}"),
-    Partition: Partition.serialize, QPolynomial: QPolynomial.serialize,
+    Partition: Partition.serialize,
 }
 OLD_JSON[tuple] = OLD_JSON[list] = lambda v: [OLD_JSON.get(type(x), str)(x) for x in v]
 
@@ -916,14 +928,14 @@ SCALARS = (
     | st.integers() | st.integers(-(10**60), 10**60) | st.sampled_from([10**4299, -(10**4299 - 1)])
     | st.floats() | st.sampled_from([float("nan"), float("inf"), float("-inf"), -0.0, 1e16, 1e-05, 123456789012.0])
     | st.none() | st.booleans()
-    # Parts past serialize's digit table, and polynomials with big signed coefficients.
+    # Parts past serialize's digit table, and polynomial text with big signed coefficients.
     | st.lists(st.integers(1, 250), max_size=5).map(lambda ps: Partition(sorted(ps, reverse=True)))
-    | st.lists(st.integers(-(10**30), 10**30), max_size=5).map(QPolynomial)
+    | st.lists(st.integers(-(10**30), 10**30), max_size=5).map(lambda cs: QPolynomial(cs).serialize())
 )
 CELL = st.recursive(SCALARS, lambda inner: st.lists(inner, max_size=3) | st.tuples(inner, inner), max_leaves=4)
 # One cell of each named edge, so that every run covers them.
 EDGE_ROW = (
-    Partition([3, 1]), Partition([5]), Partition([]), Partition([120, 7, 7]), QPolynomial([1, -2, 0, 3]), QPolynomial(),
+    Partition([3, 1]), Partition([5]), Partition([]), Partition([120, 7, 7]), "1 + -2*q + 0*q^2 + 3*q^3", "0",
     float("nan"), float("inf"), float("-inf"), -0.0, 1e16, 10**4299, -(10**40), True, None,
     "a,b", 'say "hi"', "cr\rlf", "line\nbreak", "é€😀", "", (1, [2.5, ("c,d", None)], []),
 )

@@ -44,11 +44,11 @@ def child_modules(code: str) -> str:
 
 def test_cli_import_leaves_out_dataclasses():
     # Nor json, fractions and the decimal module that fractions loads: each is imported where it is used.
-    # Nor argparse (and its gettext), which only an argv of no plain command shape needs, nor a
-    # topic module but qseries, whose polynomials are cells: each row builder imports its own.
+    # Nor argparse (and its gettext), which only an argv of no plain command shape needs, nor any
+    # topic module: each row builder imports its own, and a polynomial reaches the writer as text.
     left_out = {
         "dataclasses", "inspect", "json", "fractions", "decimal",
-        "argparse", "gettext", "repstat.symstats", "repstat.kirillov", "repstat.rsk",
+        "argparse", "gettext", "repstat.symstats", "repstat.kirillov", "repstat.rsk", "repstat.qseries",
     }
     code = f"import sys, repstat.cli; print(sorted({left_out!r} & set(sys.modules)), file=sys.stderr)"
     assert child_modules(code) == "[]"
@@ -63,13 +63,12 @@ def test_csv_table_leaves_out_json_and_fractions(argv):
     assert child_modules(code) == "0 []"
 
 
-# A valid argv of each topic, and the topic modules it must not load; qseries
-# comes with repstat.cli itself.
+# A valid argv of each topic, and the topic modules it must not load.
 TOPIC_ARGVS = [
-    (["sym", "sweep", "--n", "5"], ["repstat.kirillov"]),
-    (["sym", "plancherel", "--n", "8", "--count", "5", "--seed", "3"], ["repstat.kirillov"]),
+    (["sym", "sweep", "--n", "5"], ["repstat.kirillov", "repstat.qseries"]),
+    (["sym", "plancherel", "--n", "8", "--count", "5", "--seed", "3"], ["repstat.kirillov", "repstat.qseries"]),
     (["gl", "census", "--q", "3", "--format", "json"], ["repstat.kirillov", "repstat.rsk", "repstat.symstats"]),
-    (["kirillov", "--alg", "heis3", "--p", "3"], ["repstat.rsk", "repstat.symstats"]),
+    (["kirillov", "--alg", "heis3", "--p", "3"], ["repstat.rsk", "repstat.symstats", "repstat.qseries"]),
 ]
 
 

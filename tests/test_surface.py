@@ -103,6 +103,23 @@ def test_no_assert_statements():
     assert found == []
 
 
+def test_annotations_are_evaluated():
+    # No module postpones its annotations or hides an import behind TYPE_CHECKING:
+    # a name that only an annotation needs is quoted there.
+    def postpones(node):
+        if isinstance(node, ast.ImportFrom):
+            return node.module == "__future__" and "annotations" in [a.name for a in node.names]
+        return isinstance(node, ast.If) and "TYPE_CHECKING" in ast.unparse(node.test)
+
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(_parse(path))
+        if postpones(node)
+    ]
+    assert found == []
+
+
 def test_acceptance_imports_only_public_names():
     # The acceptance suite pins the library's public surface, not its internals.
     private = [
