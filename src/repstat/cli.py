@@ -49,7 +49,7 @@ from types import SimpleNamespace
 from typing import Callable, NamedTuple
 
 from . import __version__
-from .errors import CapExceededError, IntegrityError, _check_cap
+from .errors import CapExceededError, IntegrityError, _check_cap, _check_least
 from .partitions import Partition
 
 GAMMA_REFERENCE_TERMS = 40
@@ -196,8 +196,7 @@ def _json_rows(columns, rows):
 
 def _sized_range(nmax: int, cap: int) -> range:
     """1..nmax, refusing an nmax below 1 or above cap before any row is computed."""
-    if nmax < 1:
-        raise ValueError(f"nmax must be at least 1, got {nmax}")
+    _check_least(nmax, 1, "nmax")
     _check_cap(nmax, cap, "nmax")
     return range(1, nmax + 1)
 
@@ -279,8 +278,7 @@ def _order_rows(a):
 def _ratio_rows(a):
     from .qseries import MAX_CLASS_COUNT_N, MAX_RATIO_BITS, feit_fine, gamma_q, log_constant_ratio
 
-    if a.q < 2:
-        raise ValueError(f"q must be at least 2, got {a.q}")
+    _check_least(a.q, 2, "q")
     ns = _sized_range(a.nmax, MAX_CLASS_COUNT_N)
     # The exact ratios grow with the bit size of q^(nmax^2); gamma_q bounds its own sum.
     _check_cap(a.nmax**2 * a.q.bit_length(), MAX_RATIO_BITS, f"--nmax {a.nmax} --q {a.q}: nmax^2 * bits(q)")

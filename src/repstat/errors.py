@@ -1,8 +1,10 @@
-"""The library's two refusals, shared by every topic module and the CLI.
+"""The library's two refusal types and the two checks that raise on a size.
 
-A module of its own, so that ``qseries`` and ``kirillov`` raise them
-without importing the S_n module, and ``cli`` catches them without
-importing any topic module.
+``_check_cap`` refuses a size above one of the fixed MAX_* caps with a
+CapExceededError; ``_check_least`` refuses a size below its floor with a
+ValueError worded ``NAME must be at least K, got V``.  A module of its
+own, so that every topic module raises them without importing the S_n
+module, and ``cli`` catches them without importing any topic module.
 """
 
 
@@ -22,3 +24,8 @@ class CapExceededError(RuntimeError):
 def _check_cap(value: int, cap: int, what: str) -> None:
     if value > cap:
         raise CapExceededError(f"{what}={value} exceeds the cap {cap}")
+
+
+def _check_least(value: int, least: int, what: str) -> None:
+    if value < least:
+        raise ValueError(f"{what} must be at least {least}, got {value}")

@@ -12,6 +12,8 @@ _trusted_partition wraps parts weakly decreasing by construction unchecked.
 from operator import index, lt
 from typing import Iterable, Iterator
 
+from .errors import _check_least
+
 # Decimal strings of the parts serialize looks up instead of formatting.
 # Sweep parts stay below 51 and Plancherel parts at n = 1000 below about
 # 70; larger parts fall back to str.
@@ -73,8 +75,7 @@ def enumerate_partitions(n: int) -> Iterator[Partition]:
     partition_count(n), which the test suite checks against the
     independent pentagonal recurrence.
     """
-    if n < 0:
-        raise ValueError(f"n must be nonnegative, got {n}")
+    _check_least(n, 0, "n")
     stack = [((), n)]
     while stack:
         parts, rest = stack.pop()
@@ -91,8 +92,7 @@ def partition_count(n: int) -> int:
     The table lives only for the call.  Independent of
     enumerate_partitions, so the two can cross-check each other.
     """
-    if n < 0:
-        raise ValueError(f"n must be nonnegative, got {n}")
+    _check_least(n, 0, "n")
     p = [1]
     for m in range(1, n + 1):
         total = 0

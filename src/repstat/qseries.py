@@ -20,7 +20,7 @@ import sys
 from operator import add, index, sub
 from typing import NamedTuple
 
-from .errors import IntegrityError, _check_cap
+from .errors import IntegrityError, _check_cap, _check_least
 
 # fractions (and the decimal module it loads) is imported where a Fraction
 # is built, so that importing this module does not load it; annotations
@@ -226,8 +226,7 @@ def feit_fine(nmax: int) -> tuple[QPolynomial, ...]:
     exactly n + 1 digits, to be monic of degree n, and to vanish at q = 1
     for n >= 1 (the product is 1 there).
     """
-    if nmax < 0:
-        raise ValueError(f"nmax must be nonnegative, got {nmax}")
+    _check_least(nmax, 0, "nmax")
     _check_cap(nmax, MAX_CLASS_COUNT_N, "nmax")
     table = _class_counts
     if len(table) <= nmax:
@@ -295,15 +294,15 @@ def gow_sum(n: int) -> QPolynomial:
     q^(m^2+m) (q^(2m+1)-1)(q^(2m-1)-1)...(q-1) for n = 2m+1, and
     q^(m^2+m) (q^(2m-1)-1)(q^(2m-3)-1)...(q-1) for n = 2m.
     """
-    if n < 1:
-        raise ValueError(f"n must be at least 1, got {n}")
+    _check_least(n, 1, "n")
+    _check_cap(n, MAX_POLY_N, "n")
     return _factor_polynomial(*_gow_factors(n))
 
 
 def gl_order(n: int) -> QPolynomial:
     """|GL_n(F_q)| = (q^n - 1)(q^n - q) ... (q^n - q^(n-1)), degree n^2."""
-    if n < 1:
-        raise ValueError(f"n must be at least 1, got {n}")
+    _check_least(n, 1, "n")
+    _check_cap(n, MAX_POLY_N, "n")
     return _factor_polynomial(*_gl_order_factors(n))
 
 
@@ -324,8 +323,7 @@ def gauss_identity_check(order: int) -> bool:
     Both sides are expanded as exact integer series to the given order and
     compared coefficient by coefficient.
     """
-    if order < 1:
-        raise ValueError(f"order must be at least 1, got {order}")
+    _check_least(order, 1, "order")
     _check_cap(order, MAX_GAUSS_ORDER, "order")
     lhs = [0] * (order + 1)
     i = 0
@@ -358,8 +356,7 @@ def gamma_q(q, terms: int) -> GammaPartialSum:
     q = Fraction(q)
     if q <= 1:
         raise ValueError(f"q must exceed 1, got {q}")
-    if terms < 1:
-        raise ValueError(f"terms must be at least 1, got {terms}")
+    _check_least(terms, 1, "terms")
     # Every exact value below is about the bit size of q^(T(T+1)/2); as
     # q > 1, its numerator is the larger part of q.
     power = terms * (terms + 1) // 2
@@ -378,8 +375,7 @@ def log_constant_ratio(n: int, q) -> "Fraction":
     """
     from fractions import Fraction
 
-    if n < 1:
-        raise ValueError(f"n must be at least 1, got {n}")
+    _check_least(n, 1, "n")
     q = Fraction(q)
     if q <= 1:
         raise ValueError(f"q must exceed 1, got {q}")
@@ -426,8 +422,7 @@ def gl2_census(q: int) -> list[tuple]:
     sum checks pass only if they hold at q and as polynomial identities
     (counts doubled so every polynomial stays integer).
     """
-    if q < 2:
-        raise ValueError(f"q must be at least 2, got {q}")
+    _check_least(q, 2, "q")
     _check_cap(q.bit_length(), MAX_CENSUS_Q_BITS, "bits(q)")
     order_poly = gl_order(2)
     order = order_poly.evaluate(q)

@@ -28,7 +28,7 @@ from math import factorial
 from typing import Iterator
 
 from .partitions import Partition, _trusted_partition
-from .errors import _check_cap
+from .errors import _check_cap, _check_least
 from .symstats import dimension, ln_big
 
 _TWO64 = 1 << 64
@@ -91,8 +91,7 @@ class SplitMix64:
         Each 64-bit state sits in its own 128-bit lane of one int, and
         _mix64 finalizes all lanes at once under the lane mask.
         """
-        if count < 0:
-            raise ValueError(f"count must be non-negative, got {count}")
+        _check_least(count, 0, "count")
         ones, mask, steps, unpack = _lanes(count)
         z = _mix64(self._state * ones + steps, mask)
         self._state = (self._state + count * _GAMMA) & _MASK64
@@ -113,8 +112,7 @@ def random_permutation(n: int, rng: SplitMix64) -> list[int]:
     later step one output further, past the end of that buffer into
     next_u64.
     """
-    if n < 0:
-        raise ValueError(f"n must be nonnegative, got {n}")
+    _check_least(n, 0, "n")
     perm = list(range(1, n + 1))
     # 2^64 mod bound < bound <= n, so a draw below 2^64 - n is never rejected.
     safe = _TWO64 - n
@@ -177,10 +175,8 @@ def sample_plancherel(
     MAX_PLANCHEREL_CELLS.  This is a generator function, so these refusals
     raise at the first ``next()``, not at the call.
     """
-    if n < 1:
-        raise ValueError(f"n must be at least 1, got {n}")
-    if count < 1:
-        raise ValueError(f"count must be at least 1, got {count}")
+    _check_least(n, 1, "n")
+    _check_least(count, 1, "count")
     if not 0 <= seed <= _MASK64:
         raise ValueError(f"seed must lie in 0..2^64 - 1, got {seed}")
     _check_cap(n, MAX_PLANCHEREL_N, "n")

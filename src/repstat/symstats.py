@@ -46,7 +46,7 @@ from math import factorial, perm
 from operator import add, eq, floordiv, mod, mul, rshift
 from typing import NamedTuple
 
-from .errors import IntegrityError, _check_cap
+from .errors import IntegrityError, _check_cap, _check_least
 from .partitions import Partition, _trusted_partition, partition_count
 
 # fractions (and the decimal module it loads) is imported where a Fraction
@@ -150,8 +150,7 @@ def involution_count(n: int) -> int:
     Direct sum over the number k of 2-cycles, cross-checked against the
     recurrence I(n) = I(n-1) + (n-1) I(n-2).
     """
-    if n < 0:
-        raise ValueError(f"n must be nonnegative, got {n}")
+    _check_least(n, 0, "n")
     total = sum(
         factorial(n) // (2**k * factorial(k) * factorial(n - 2 * k))
         for k in range(n // 2 + 1)
@@ -286,8 +285,7 @@ def sweep(n: int) -> tuple[DimRecord, ...]:
     never freed, since the repstat process ends with os._exit and a level
     freed in process costs 6-7 ms at n = 38.
     """
-    if n < 1:
-        raise ValueError(f"n must be at least 1, got {n}")
+    _check_least(n, 1, "n")
     _check_cap(n, MAX_SWEEP_N, "n")
     counts = _bounded_counts(n)
     count = counts[n][n]
@@ -313,7 +311,6 @@ def sweep(n: int) -> tuple[DimRecord, ...]:
                 records[slot] = rec
         except IndexError:
             raise IntegrityError(f"a rank slot fell outside the {count} partitions of {n}") from None
-        _, dims, classes, _, _ = zip(*recs)
         made += len(recs)
         sum_dim += sum(dims)
         sum_dim_sq += sum(map(mul, dims, dims))
@@ -337,8 +334,7 @@ def level_maxima(nmax: int) -> list[tuple[int, list[Partition], int]]:
     every partition, the moment identities and the count p(n) of every
     level are verified.
     """
-    if nmax < 1:
-        raise ValueError(f"nmax must be at least 1, got {nmax}")
+    _check_least(nmax, 1, "nmax")
     _check_cap(nmax, MAX_SWEEP_N, "nmax")
     size = nmax + 1
     facts = list(map(factorial, range(size)))
@@ -411,8 +407,7 @@ def cos_sq_exact(n: int) -> "Fraction":
 
 
 def angle_report(n: int) -> AngleReport:
-    if n < 1:
-        raise ValueError(f"n must be at least 1, got {n}")
+    _check_least(n, 1, "n")
     inv = involution_count(n)
     pn = partition_count(n)
     fact = factorial(n)
@@ -441,8 +436,7 @@ def log_mean_dimension_estimate(n: int) -> float:
     That is the classical estimate of the mean dimension, taken in log
     space so no value overflows a double.
     """
-    if n < 1:
-        raise ValueError(f"n must be at least 1, got {n}")
+    _check_least(n, 1, "n")
     rn = math.sqrt(n)
     ln_n = math.log(n)
     return (
@@ -541,8 +535,7 @@ def histogram(values, bins: int) -> Histogram:
     sweep.  A nan or infinite value, a range past the float maximum, or a
     range too narrow for strictly increasing float edges is refused.
     """
-    if bins < 1:
-        raise ValueError(f"bins must be at least 1, got {bins}")
+    _check_least(bins, 1, "bins")
     _check_cap(bins, MAX_HIST_BINS, "bins")
     values = list(values)
     if not values:

@@ -384,6 +384,11 @@ class TestExitCodes:
         code, out, err = run_cli(capsys, *argv)
         assert (code, out) == (2, "") and "must be" in err
 
+    def test_class_count_nmax_below_zero_wording(self, capsys):
+        # nmax = 0 prints the row C_0 = 1; below it, the one wording of a size refusal.
+        code, out, err = run_cli(capsys, "gl", "classes", "--nmax", "-1")
+        assert (code, out, err) == (2, "", "repstat: invalid request: nmax must be at least 0, got -1\n")
+
     def test_census_largest_q_prints(self, capsys):
         # Every cell at the largest q stays below the int-to-str digit limit.
         code, out, err = run_cli(capsys, "gl", "census", "--q", str((1 << MAX_CENSUS_Q_BITS) - 1))

@@ -247,6 +247,12 @@ class TestGowSum:
         for n in range(1, qseries.MAX_POLY_N + 1):
             assert gow_sum(n) == gow_sum_pairs(n)
 
+    def test_refused_above_cap(self):
+        start = time.monotonic()
+        with pytest.raises(CapExceededError, match=f"^n={qseries.MAX_POLY_N + 1} exceeds the cap {qseries.MAX_POLY_N}$"):
+            gow_sum(qseries.MAX_POLY_N + 1)
+        assert time.monotonic() - start < 1.0
+
     def test_brute_force_grid(self):
         for n, q in ((1, 2), (1, 3), (2, 2), (2, 3), (3, 2)):
             assert gow_sum(n).evaluate(q) == symmetric_invertible_count(n, q)
@@ -277,6 +283,12 @@ class TestGlOrder:
     def test_matches_pair_product_up_to_cap(self):
         for n in range(1, qseries.MAX_POLY_N + 1):
             assert gl_order(n) == gl_order_pairs(n)
+
+    def test_refused_above_cap(self):
+        start = time.monotonic()
+        with pytest.raises(CapExceededError, match=f"^n={qseries.MAX_POLY_N + 1} exceeds the cap {qseries.MAX_POLY_N}$"):
+            gl_order(qseries.MAX_POLY_N + 1)
+        assert time.monotonic() - start < 1.0
 
     def test_degree_n_squared(self):
         for n in range(1, 7):

@@ -191,7 +191,7 @@ class TestShuffle:
 
     def test_negative_n_rejected(self):
         rng = SplitMix64(1)
-        with pytest.raises(ValueError, match="^n must be nonnegative, got -3$"):
+        with pytest.raises(ValueError, match="^n must be at least 0, got -3$"):
             random_permutation(-3, rng)
         assert rng._state == 1
         assert random_permutation(0, rng) == []

@@ -120,6 +120,20 @@ def test_annotations_are_evaluated():
     assert found == []
 
 
+def test_size_floors_come_from_check_least():
+    # A size below its floor has one wording, and only errors._check_least writes it.
+    def hand_written_floor(node):
+        if not (isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)):
+            return False
+        if ast.unparse(node.exc.func) != "ValueError":
+            return False
+        text = " ".join(c.value for c in ast.walk(node.exc) if isinstance(c, ast.Constant) and isinstance(c.value, str))
+        return any(word in text for word in ("must be at least", "nonnegative", "non-negative"))
+
+    found = [path.name for path in sorted(SRC.glob("*.py")) for node in ast.walk(_parse(path)) if hand_written_floor(node)]
+    assert found == ["errors.py"]
+
+
 def test_acceptance_imports_only_public_names():
     # The acceptance suite pins the library's public surface, not its internals.
     private = [

@@ -290,14 +290,16 @@ class TestSweepIntegrity:
             list(sweep(8))
 
     def test_class_denominator(self, monkeypatch):
-        real = symstats.DimRecord
+        real = symstats._close
         # The walk carries the centralizer order inline, so the fault goes
         # where it lands: the 8-cycles' centralizer tripled (8 -> 24), which
         # leaves every class size positive but breaks the class equation.
-        def tripled(lam, dim, size, *logs):
-            return real(lam, dim, size // 3 if lam.parts == (8,) else size, *logs)
+        # Only (8,) closes with a top row of all 8 boxes.
+        def tripled(fact, ws, *columns):
+            dims, classes = real(fact, ws, *columns)
+            return dims, [size // 3 if w == 8 else size for w, size in zip(ws, classes)]
 
-        monkeypatch.setattr(symstats, "DimRecord", tripled)
+        monkeypatch.setattr(symstats, "_close", tripled)
         with pytest.raises(IntegrityError, match="moment identities"):
             list(sweep(8))
 
